@@ -1,4 +1,4 @@
-.PHONY: build test check bench harness parallel-bench analyze-bench robustness-bench robustness-check vectorized-bench serving-bench adaptive-bench storage-bench durability-bench compression-bench crash-check bench-smoke
+.PHONY: build test check fmt-check bench harness parallel-bench analyze-bench robustness-bench robustness-check serving-bench adaptive-bench storage-bench durability-bench compression-bench crash-check bench-smoke perfbench-smoke
 
 build:
 	go build ./...
@@ -6,12 +6,16 @@ build:
 test:
 	go test ./...
 
-# check is the strict gate: vet plus the full suite under the race detector.
-# The parallel executor (internal/exec) is explicitly designed to be
+# check is the strict gate: gofmt, vet, and the full suite under the race
+# detector. The parallel executor (internal/exec) is explicitly designed to be
 # race-clean; run this before sending changes.
-check:
+check: fmt-check
 	go vet ./...
 	go test -race ./...
+
+# fmt-check fails when any Go file in the tree is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 bench:
 	go test -bench=. -benchmem
@@ -32,11 +36,6 @@ analyze-bench:
 # cancellation latency; writes BENCH_robustness.json.
 robustness-bench:
 	go run ./cmd/benchharness robustness
-
-# Row-vs-vectorized execution of identical plans (scan+filter, hash agg,
-# hash join); writes BENCH_vectorized.json. E24 at full size.
-vectorized-bench:
-	go run ./cmd/benchharness vectorized
 
 # Concurrent serving sweep: exec-literal vs prepared-reoptimize vs
 # prepared-cached at 1/8/64/256 sessions; writes BENCH_serving.json. E25 at
@@ -80,9 +79,8 @@ crash-check:
 		./internal/storage
 	GOMAXPROCS=4 go test -race -count=1 -run 'TestRecoveredEngineEquivalence|TestEngineChecksumOptions' .
 
-# bench-smoke is the fast perf gate: a reduced-size E24 run (row-vs-vectorized
-# must still report identical results), a tiny E25 serving sweep under the
-# race detector (all three modes must still report identical results), a
+# bench-smoke is the fast perf gate: a tiny E25 serving sweep under the race
+# detector (all three modes must still report identical results), a
 # reduced E26 adaptive sweep under the race detector (greedy and DP arms must
 # still report identical results), a reduced E27 storage sweep under the race
 # detector (disk reads must be bit-identical to memory), a reduced E29
@@ -90,7 +88,6 @@ crash-check:
 # bit-identical results), and the executor suite under -race. CI runs this on every push; it finishes in well under a
 # minute.
 bench-smoke:
-	go run ./cmd/benchharness vectorized 20000
 	GOMAXPROCS=4 go run -race ./cmd/benchharness serving 1000 8
 	GOMAXPROCS=4 go run -race ./cmd/benchharness adaptive 40 2000
 	GOMAXPROCS=4 go run -race ./cmd/benchharness storage 30000
@@ -105,3 +102,10 @@ robustness-check:
 		-run 'Spill|Budget|Cancel|Deadline|Fault|Goroutine|MemAccount|FirstError|WorkerPanic|PoolClose' \
 		. ./internal/exec
 	GOMAXPROCS=4 go test -race -count=1 ./internal/faultfs
+
+# perfbench-smoke vets and tests the end-to-end benchmark module (perfbench/,
+# its own Go module built against this checkout), so an engine change that
+# breaks the benchmark's traced run fails here rather than in a benchmark run.
+perfbench-smoke:
+	go -C perfbench vet ./...
+	go -C perfbench test -count=1 ./...

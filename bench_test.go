@@ -1,6 +1,6 @@
 package queryopt
 
-// bench_test.go exposes every experiment of the reproduction (E1–E24, one
+// bench_test.go exposes every experiment of the reproduction (E1–E23, one
 // per figure/claim of the paper — see DESIGN.md §2) as a testing.B benchmark,
 // plus micro-benchmarks of the engine's hot paths. Regenerate the experiment
 // tables with:
@@ -74,9 +74,6 @@ func BenchmarkE22AnalyzeFeedback(b *testing.B) {
 }
 func BenchmarkE23Robustness(b *testing.B) {
 	benchExperiment(b, experiments.E23Robustness)
-}
-func BenchmarkE24Vectorized(b *testing.B) {
-	benchExperiment(b, experiments.E24Vectorized)
 }
 
 // --- engine micro-benchmarks ---

@@ -10,9 +10,6 @@
 //	                                     # → BENCH_analyze.json (q-error distribution)
 //	go run ./cmd/benchharness robustness # memory-budget/spill overhead and
 //	                                     # cancellation latency → BENCH_robustness.json
-//	go run ./cmd/benchharness vectorized [rows]
-//	                                     # row-vs-vectorized execution of identical
-//	                                     # plans → BENCH_vectorized.json
 //	go run ./cmd/benchharness serving [rows] [perSession]
 //	                                     # concurrent sessions: exec-literal vs
 //	                                     # prepared-reoptimize vs prepared-cached
@@ -120,28 +117,6 @@ func robustnessBench() error {
 		return err
 	}
 	fmt.Println("wrote BENCH_robustness.json")
-	return nil
-}
-
-// vectorizedBench runs the large row-vs-vectorized comparison and writes
-// BENCH_vectorized.json: rows/sec for both execution models on the
-// scan+filter, hash-aggregation and hash-join microworkloads, plus the
-// `identical` flag certifying bit-equal results.
-func vectorizedBench(rows int) error {
-	res := experiments.RunVectorizedBench(rows, 3)
-	for _, w := range res.Workloads {
-		fmt.Printf("%-12s row=%.3fs (%.0f rows/s)  vec=%.3fs (%.0f rows/s)  speedup=%.2fx  identical=%v\n",
-			w.Workload, w.RowWallSec, w.RowRowsPerSec, w.VecWallSec, w.VecRowsPerSec, w.Speedup, w.Identical)
-	}
-	fmt.Printf("gomaxprocs=%d cpus=%d (single-threaded comparison)\n", res.GOMAXPROCS, res.CPUs)
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_vectorized.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_vectorized.json")
 	return nil
 }
 
@@ -316,21 +291,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("serving bench completed in %s\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "vectorized" {
-		rows := 150000
-		if len(os.Args) > 2 {
-			if _, err := fmt.Sscanf(os.Args[2], "%d", &rows); err != nil {
-				fmt.Fprintf(os.Stderr, "bad row count %q: %v\n", os.Args[2], err)
-				os.Exit(1)
-			}
-		}
-		if err := vectorizedBench(rows); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("vectorized bench completed in %s\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "durability" {

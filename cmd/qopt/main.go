@@ -30,7 +30,6 @@ func main() {
 	par := flag.Int("parallel", 1, "execute with this degree of parallelism (morsel-driven executor, §7.1)")
 	analyzeAll := flag.Bool("analyze", false, "run every SELECT as EXPLAIN ANALYZE (per-operator runtime metrics)")
 	memBudget := flag.Int64("membudget", 0, "per-query working-memory cap in bytes; operators spill to disk past it (0 = unlimited)")
-	vectorize := flag.Bool("vectorize", true, "columnar batch execution with typed kernels (operators without kernels fall back to rows)")
 	timeout := flag.Duration("timeout", 0, "per-statement deadline, e.g. 500ms or 10s (0 = none)")
 	sessions := flag.Int("sessions", 1, "with -e: run the statement concurrently from this many sessions and report qps")
 	planCache := flag.String("plancache", "on", "parameterized plan cache for prepared statements: on | off")
@@ -71,9 +70,6 @@ func main() {
 		StorageDir:            *storageDir,
 		SegmentRows:           *segmentRows,
 		FeedbackPatching:      *replanQError > 0,
-	}
-	if !*vectorize {
-		opts.Vectorize = queryopt.VectorizeOff
 	}
 	switch strings.ToLower(*compression) {
 	case "on", "":

@@ -11,8 +11,7 @@ import (
 type aggAcc interface {
 	add(v datum.D)
 	// merge folds another accumulator of the same concrete type into this
-	// one — used by parallel aggregation to combine thread-local partials at
-	// the pipeline barrier (§7.1).
+	// one, as if its inputs had been added here.
 	merge(o aggAcc)
 	result() datum.D
 }
@@ -324,7 +323,7 @@ func (gt *groupTable) add(key datum.Row, hash uint64, argVals []datum.D) error {
 }
 
 // mergeFrom folds another table's groups into gt (same group layout and
-// aggregates) — the merge phase of two-phase parallel aggregation.
+// aggregates).
 func (gt *groupTable) mergeFrom(o *groupTable) error {
 	for _, e := range o.order {
 		var h uint64

@@ -109,7 +109,7 @@ func TestAggNullMergePaths(t *testing.T) {
 }
 
 // TestGroupTableNullMerge drives the same semantics through groupTable's
-// two-phase mergeFrom — the path runGroupByParallel actually takes.
+// two-phase mergeFrom.
 func TestGroupTableNullMerge(t *testing.T) {
 	items := aggItems()
 	argVals := func(v datum.D) []datum.D {

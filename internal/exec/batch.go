@@ -1,9 +1,10 @@
-// Columnar batches for the vectorized execution path (§5.2's CPU-per-row
-// constant attacked directly): a Batch is a set of typed column vectors plus
-// an optional selection vector naming the live rows. Scans produce batches
+// Columnar batches for the batch operators (§5.2's CPU-per-row constant
+// attacked directly): a Batch is a set of typed column vectors plus an
+// optional selection vector naming the live rows. Scans produce batches
 // straight from storage, kernels in kernels.go filter/hash/aggregate them
-// without per-row interface dispatch, and ToRows materializes the boundary
-// back to the row engine for operators without a vectorized implementation.
+// without per-row interface dispatch, and ToRows materializes the boundary to
+// the row operators (joins other than hash, stream aggregation, sort, limit,
+// union, values, exchange).
 package exec
 
 import (
@@ -94,28 +95,14 @@ func batchFromRows(layout []logical.ColumnID, rows []datum.Row) *Batch {
 }
 
 // batchRowBytes models the batch's live rows exactly like rowSetBytes models
-// materialized rows, so vectorized operators trip the same memory-budget
-// thresholds as their row-mode counterparts.
+// materialized rows, so a batch operator trips the budget at the same input
+// size as the spilling implementation it degrades to.
 func batchRowBytes(b *Batch) int64 {
 	var total int64
 	for _, v := range b.Vecs {
 		total += v.DataBytes(b.Sel)
 	}
 	return total + int64(b.NumRows())*entryOverhead
-}
-
-// --- scratch pools (satellite: cut allocations in the morsel executor) ---
-
-// selPool recycles selection vectors and chunk-local index scratch.
-var selPool = sync.Pool{New: func() any { s := make([]int32, 0, MorselSize); return &s }}
-
-func getSel() []int32 { return (*selPool.Get().(*[]int32))[:0] }
-
-func putSel(s []int32) {
-	if cap(s) == 0 {
-		return
-	}
-	selPool.Put(&s)
 }
 
 // hashPool recycles per-chunk hash scratch for join/agg probes.
@@ -134,34 +121,4 @@ func putHashBuf(h []uint64) {
 		return
 	}
 	hashPool.Put(&h)
-}
-
-// rowBufPool recycles the per-morsel []datum.Row output buffers of the
-// parallel row paths. Only the slice header's backing array is reused — the
-// rows themselves escape into the flattened result.
-var rowBufPool = sync.Pool{New: func() any { s := make([]datum.Row, 0, MorselSize); return &s }}
-
-func getRowBuf() []datum.Row { return (*rowBufPool.Get().(*[]datum.Row))[:0] }
-
-func putRowBuf(s []datum.Row) {
-	if cap(s) == 0 {
-		return
-	}
-	for i := range s {
-		s[i] = nil
-	}
-	rowBufPool.Put(&s)
-}
-
-// concatMorselsPooled flattens per-morsel outputs in morsel order and
-// returns each morsel buffer to the pool.
-func concatMorselsPooled(outs [][]datum.Row) []datum.Row {
-	flat := concatMorsels(outs)
-	for i, o := range outs {
-		if o != nil {
-			putRowBuf(o)
-			outs[i] = nil
-		}
-	}
-	return flat
 }

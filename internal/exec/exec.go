@@ -1,6 +1,8 @@
-// Package exec implements query execution: a Volcano-style iterator engine
-// over physical plans (Figure 1 of the paper) and a naive recursive evaluator
-// over logical trees. The naive evaluator serves three roles: the reference
+// Package exec implements query execution: a materializing engine over
+// physical plans (Figure 1 of the paper) — columnar batch operators for scans,
+// filters, projections, hash joins and hash aggregation (vector.go), row
+// operators for the rest (iter.go) — and a naive recursive evaluator over
+// logical trees. The naive evaluator serves three roles: the reference
 // implementation for correctness tests, the tuple-iteration semantics used to
 // evaluate correlated subqueries that were not unnested (the baseline §4.2
 // improves on), and the executor for Values rows.
@@ -83,11 +85,6 @@ type Ctx struct {
 	Faults *faultfs.Injector
 	// TempDir overrides the directory for spill files (default os.TempDir).
 	TempDir string
-	// Vectorize enables the columnar batch path (vector.go): operators whose
-	// predicates, projections and aggregates all have typed kernels run over
-	// column vectors; everything else falls back to the row engine
-	// automatically. NewCtx turns it on; a zero-value Ctx runs rows only.
-	Vectorize bool
 	// NoPrune disables zone-map segment elimination on disk-backed tables
 	// (every segment is read and filtered) — the control arm of the storage
 	// benchmarks. No effect on in-memory tables.
@@ -106,6 +103,10 @@ type Ctx struct {
 	// bar is the abort barrier of the runWorkers call this (child) context
 	// belongs to; nil on the coordinating context.
 	bar *barrier
+	// worker is this child context's worker index in its runWorkers call (0
+	// on the coordinating context), so operators can keep one scratch per
+	// worker.
+	worker int
 }
 
 // EnableAnalyze turns on per-operator metrics collection for executions
@@ -196,13 +197,6 @@ func (c *Ctx) tableRows(tab *storage.Table) ([]datum.Row, error) {
 	return rows, err
 }
 
-func (c *Ctx) rowsRange(tab *storage.Table, lo, hi int) ([]datum.Row, error) {
-	sc := storage.ScanCtx{Faults: c.Faults}
-	rows, err := tab.RowsRange(&sc, lo, hi)
-	c.noteScan(&sc)
-	return rows, err
-}
-
 func (c *Ctx) rowAt(tab *storage.Table, id int) (datum.Row, error) {
 	sc := storage.ScanCtx{Faults: c.Faults}
 	r, err := tab.Row(&sc, id)
@@ -256,7 +250,7 @@ func (c *Ctx) step(op string) error {
 // NewCtx returns a context over the given store and metadata, with a buffer
 // pool sized like cost.DefaultModel (256 pages).
 func NewCtx(store *storage.Store, md *logical.Metadata) *Ctx {
-	return &Ctx{Store: store, Meta: md, Buffer: NewPageBuffer(256), Vectorize: true}
+	return &Ctx{Store: store, Meta: md, Buffer: NewPageBuffer(256)}
 }
 
 // Close releases a lazily created worker pool. It is safe to call on any
@@ -268,9 +262,6 @@ func (c *Ctx) Close() {
 		c.ownPool = false
 	}
 }
-
-// parallel reports whether the morsel-driven engine is enabled.
-func (c *Ctx) parallel() bool { return c.Parallelism > 1 }
 
 // workers returns the configured degree of parallelism (at least 1).
 func (c *Ctx) workers() int {
@@ -288,7 +279,7 @@ func (c *Ctx) child() *Ctx {
 	return &Ctx{
 		Store: c.Store, Meta: c.Meta, Buffer: NewPageBuffer(c.Buffer.Cap()),
 		Context: c.Context, Mem: c.Mem, Faults: c.Faults, TempDir: c.TempDir,
-		Vectorize: c.Vectorize, NoPrune: c.NoPrune,
+		NoPrune: c.NoPrune,
 	}
 }
 

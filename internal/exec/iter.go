@@ -8,7 +8,6 @@ import (
 	"repro/internal/datum"
 	"repro/internal/logical"
 	"repro/internal/physical"
-	"repro/internal/storage"
 )
 
 // Run executes a physical plan to completion and returns the materialized
@@ -61,7 +60,7 @@ func (c *Ctx) sortResult(res *Result, by logical.Ordering) error {
 	}
 	defer c.Mem.Shrink(need)
 	c.noteMemBytes(need)
-	if c.parallel() && len(res.Rows) >= minParallelRows {
+	if c.fanOut(len(res.Rows)) {
 		res.Rows = c.sortRowsParallel(res.Rows, spec)
 		return nil
 	}
@@ -72,95 +71,57 @@ func (c *Ctx) sortResult(res *Result, by logical.Ordering) error {
 	return nil
 }
 
-// runPlan executes one operator, metering it when analyze mode is on. The
-// nil check is the entire cost of the instrumentation when analyze is off.
-// Every operator entry doubles as a cancellation checkpoint.
-func (c *Ctx) runPlan(p physical.Plan) ([]datum.Row, error) {
+// metered runs one operator under the analyze meter: fn executes it and
+// reports the rows it produced. The nil check is the entire cost of the
+// instrumentation when analyze is off. Every operator entry doubles as a
+// cancellation checkpoint.
+func (c *Ctx) metered(p physical.Plan, fn func() (int, error)) error {
 	if err := c.canceled(); err != nil {
-		return nil, err
+		return err
 	}
 	if c.Metrics == nil {
-		return c.execPlan(p)
+		_, err := fn()
+		return err
 	}
 	m := c.Metrics.Node(p)
 	m.Invocations++
 	prev := c.curNode
 	c.curNode = m
 	start := time.Now()
-	rows, err := c.execPlan(p)
+	n, err := fn()
 	m.WallNanos += time.Since(start).Nanoseconds()
-	m.ActualRows += int64(len(rows))
+	m.ActualRows += int64(n)
 	c.curNode = prev
+	return err
+}
+
+// runPlan runs one operator for a row consumer: batch operators are
+// materialized into rows at this boundary.
+func (c *Ctx) runPlan(p physical.Plan) ([]datum.Row, error) {
+	var rows []datum.Row
+	err := c.metered(p, func() (int, error) {
+		b, ok, err := c.execBatch(p)
+		if !ok {
+			rows, err = c.execPlan(p)
+		} else if err == nil {
+			rows = b.ToRows()
+		}
+		return len(rows), err
+	})
 	return rows, err
 }
 
-// execPlan dispatches on the operator type. Operators materialize their
-// output; inner operators of joins may be re-materialized only once (the
-// engine caches nothing across calls — joins materialize inputs explicitly).
+// execPlan runs the row operators — the operators without a batch
+// implementation. They materialize their output; joins materialize their
+// inputs explicitly (the engine caches nothing across calls).
 func (c *Ctx) execPlan(p physical.Plan) ([]datum.Row, error) {
-	if c.Vectorize {
-		if rows, ok, err := c.execVectorized(p); ok {
-			return rows, err
-		}
-	}
 	switch t := p.(type) {
-	case *physical.TableScan:
-		return c.runTableScan(t)
-	case *physical.IndexScan:
-		return c.runIndexScan(t)
 	case *physical.ValuesOp:
 		res, err := c.naiveValues(&logical.Values{Cols: t.Cols, Rows: t.Rows}, nil)
 		if err != nil {
 			return nil, err
 		}
 		return res.Rows, nil
-	case *physical.Filter:
-		in, err := c.runPlan(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		if c.parallel() && len(in) >= minParallelRows {
-			return c.filterRowsParallel(in, t.Input.Columns(), t.Preds)
-		}
-		e := newEnv(t.Input.Columns(), nil)
-		var out []datum.Row
-		for _, r := range in {
-			c.Counters.RowsProcessed++
-			e.row = r
-			ok, err := c.filterRow(t.Preds, e)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-	case *physical.Project:
-		in, err := c.runPlan(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		if c.parallel() && len(in) >= minParallelRows {
-			return c.projectRowsParallel(in, t.Input.Columns(), t.Items)
-		}
-		e := newEnv(t.Input.Columns(), nil)
-		ectx := c.evalCtx(e)
-		out := make([]datum.Row, 0, len(in))
-		for _, r := range in {
-			c.Counters.RowsProcessed++
-			e.row = r
-			nr := make(datum.Row, len(t.Items))
-			for i, it := range t.Items {
-				v, err := logical.Eval(it.Expr, ectx)
-				if err != nil {
-					return nil, err
-				}
-				nr[i] = v
-			}
-			out = append(out, nr)
-		}
-		return out, nil
 	case *physical.Sort:
 		in, err := c.runPlan(t.Input)
 		if err != nil {
@@ -177,12 +138,8 @@ func (c *Ctx) execPlan(p physical.Plan) ([]datum.Row, error) {
 		return c.runINLJoin(t)
 	case *physical.MergeJoin:
 		return c.runMergeJoin(t)
-	case *physical.HashJoin:
-		return c.runHashJoin(t)
-	case *physical.HashGroupBy:
-		return c.runGroupBy(t.Input, t.GroupCols, t.Aggs, true, t.Rows)
 	case *physical.StreamGroupBy:
-		return c.runGroupBy(t.Input, t.GroupCols, t.Aggs, false, t.Rows)
+		return c.runStreamGroupBy(t)
 	case *physical.LimitOp:
 		in, err := c.runPlan(t.Input)
 		if err != nil {
@@ -216,196 +173,6 @@ func (c *Ctx) execPlan(p physical.Plan) ([]datum.Row, error) {
 	return nil, fmt.Errorf("exec: unknown physical operator %T", p)
 }
 
-func (c *Ctx) runTableScan(t *physical.TableScan) ([]datum.Row, error) {
-	tab, ok := c.Store.Table(t.Table.Name)
-	if !ok {
-		return nil, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
-	}
-	if pruner := c.buildPruner(tab, t.Filter, t.Cols, t.ColOrds); pruner != nil {
-		return c.runTableScanSegments(t, tab, pruner)
-	}
-	c.touchScan(tab)
-	rows, err := c.tableRows(tab)
-	if err != nil {
-		return nil, err
-	}
-	if c.parallel() && len(rows) >= minParallelRows {
-		return c.scanRowsParallel(rows, t.Cols, t.ColOrds, t.Filter)
-	}
-	var out []datum.Row
-	e := newEnv(t.Cols, nil)
-	for i, r := range rows {
-		// One checkpoint per batch of MorselSize rows — the same cadence (and
-		// fault-injection op stream) as the parallel scan's morsels.
-		if i%MorselSize == 0 {
-			if err := c.step("scan"); err != nil {
-				return nil, err
-			}
-		}
-		c.Counters.RowsProcessed++
-		pr := projectRow(r, t.ColOrds)
-		if len(t.Filter) > 0 {
-			e.row = pr
-			ok, err := c.filterRow(t.Filter, e)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		out = append(out, pr)
-	}
-	return out, nil
-}
-
-// runTableScanSegments is the row-path scan over a disk-backed table:
-// zone-map-eliminated segments are never materialized, full-match segments
-// skip filter evaluation (when the whole conjunction compiled), everything
-// else runs the normal project+filter loop.
-func (c *Ctx) runTableScanSegments(t *physical.TableScan, tab *storage.Table, pruner *scanPruner) ([]datum.Row, error) {
-	c.notePruner(tab, pruner)
-	regions := pruner.liveRegions()
-	if c.parallel() {
-		total := 0
-		for _, rg := range regions {
-			total += rg.hi - rg.lo
-		}
-		if total >= minParallelRows {
-			all := make([]datum.Row, 0, total)
-			for _, rg := range regions {
-				rows, err := c.rowsRange(tab, rg.lo, rg.hi)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, rows...)
-			}
-			// Region order preserves row order, so the morsel fan-out keeps
-			// the serial output order (filters re-run even on full-match
-			// regions — same rows either way).
-			return c.scanRowsParallel(all, t.Cols, t.ColOrds, t.Filter)
-		}
-	}
-	var out []datum.Row
-	e := newEnv(t.Cols, nil)
-	for _, rg := range regions {
-		rows, err := c.rowsRange(tab, rg.lo, rg.hi)
-		if err != nil {
-			return nil, err
-		}
-		skipFilter := pruner.full && rg.disp == storage.ZoneAll
-		for i, r := range rows {
-			if i%MorselSize == 0 {
-				if err := c.step("scan"); err != nil {
-					return nil, err
-				}
-			}
-			c.Counters.RowsProcessed++
-			pr := projectRow(r, t.ColOrds)
-			if !skipFilter && len(t.Filter) > 0 {
-				e.row = pr
-				ok, err := c.filterRow(t.Filter, e)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out = append(out, pr)
-		}
-	}
-	return out, nil
-}
-
-func (c *Ctx) runIndexScan(t *physical.IndexScan) ([]datum.Row, error) {
-	tab, ok := c.Store.Table(t.Table.Name)
-	if !ok {
-		return nil, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
-	}
-	ix, err := tab.Index(t.Index.Name)
-	if err != nil {
-		return nil, err
-	}
-	c.Counters.IndexSeeks++
-	var ids []int
-	switch {
-	case len(t.EqKey) > 0 && (!t.Lo.IsNull() || !t.Hi.IsNull()):
-		// Equality prefix + range on the next column: fetch eq matches and
-		// post-filter on the range column.
-		ids = ix.SeekEq(t.EqKey)
-		rangeOrd := t.Index.Cols[len(t.EqKey)]
-		ids, err = c.filterIDsByRange(tab, ids, rangeOrd, t.Lo, t.LoIncl, t.Hi, t.HiIncl)
-		if err != nil {
-			return nil, err
-		}
-	case len(t.EqKey) > 0:
-		ids = ix.SeekEq(t.EqKey)
-	default:
-		ids = ix.SeekRange(t.Lo, t.LoIncl, t.Hi, t.HiIncl)
-	}
-	for _, id := range ids {
-		c.touchRow(tab, id)
-	}
-	if c.parallel() && len(ids) >= minParallelRows {
-		return c.fetchRowsParallel(tab, ids, t.Cols, t.ColOrds, t.Filter)
-	}
-	e := newEnv(t.Cols, nil)
-	var out []datum.Row
-	for i, id := range ids {
-		if i%MorselSize == 0 {
-			if err := c.step("scan"); err != nil {
-				return nil, err
-			}
-		}
-		c.Counters.RowsProcessed++
-		r, err := c.rowAt(tab, id)
-		if err != nil {
-			return nil, err
-		}
-		pr := projectRow(r, t.ColOrds)
-		if len(t.Filter) > 0 {
-			e.row = pr
-			ok, err := c.filterRow(t.Filter, e)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		out = append(out, pr)
-	}
-	return out, nil
-}
-
-func (c *Ctx) filterIDsByRange(tab *storage.Table, ids []int, ord int, lo datum.D, loIncl bool, hi datum.D, hiIncl bool) ([]int, error) {
-	var out []int
-	for _, id := range ids {
-		v, err := c.colValue(tab, id, ord)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if !lo.IsNull() {
-			cmp := datum.Compare(v, lo)
-			if cmp < 0 || (cmp == 0 && !loIncl) {
-				continue
-			}
-		}
-		if !hi.IsNull() {
-			cmp := datum.Compare(v, hi)
-			if cmp > 0 || (cmp == 0 && !hiIncl) {
-				continue
-			}
-		}
-		out = append(out, id)
-	}
-	return out, nil
-}
-
 func (c *Ctx) runNLJoin(t *physical.NLJoin) ([]datum.Row, error) {
 	left, err := c.runPlan(t.Left)
 	if err != nil {
@@ -417,7 +184,7 @@ func (c *Ctx) runNLJoin(t *physical.NLJoin) ([]datum.Row, error) {
 	}
 	leftRes := &Result{Cols: t.Left.Columns(), Rows: left}
 	rightRes := &Result{Cols: t.Right.Columns(), Rows: right}
-	if c.parallel() && len(left)*max(len(right), 1) >= minParallelRows {
+	if c.fanOut(len(left) * max(len(right), 1)) {
 		return c.runNLJoinParallel(t, leftRes, rightRes)
 	}
 	lj := &logical.Join{Kind: t.Kind, On: t.On}
@@ -507,7 +274,7 @@ func (c *Ctx) runINLJoin(t *physical.INLJoin) ([]datum.Row, error) {
 		}
 		keyOffsets[i] = off
 	}
-	if c.parallel() && len(left) >= minParallelRows {
+	if c.fanOut(len(left)) {
 		return c.runINLJoinParallel(t, left, tab, ix, keyOffsets)
 	}
 	combined := append(append([]logical.ColumnID{}, leftLayout...), t.Cols...)
@@ -703,138 +470,21 @@ func compareKeys(a datum.Row, aOff []int, b datum.Row, bOff []int, counters *Cou
 	return 0
 }
 
-func (c *Ctx) runHashJoin(t *physical.HashJoin) ([]datum.Row, error) {
-	left, err := c.runPlan(t.Left)
+// runStreamGroupBy aggregates input sorted on the group columns. A real
+// iterator engine holds one group at a time here, so unlike the hash
+// aggregation its table is not budgeted working memory.
+func (c *Ctx) runStreamGroupBy(t *physical.StreamGroupBy) ([]datum.Row, error) {
+	in, err := c.runPlan(t.Input)
 	if err != nil {
 		return nil, err
 	}
-	right, err := c.runPlan(t.Right)
+	layout := t.Input.Columns()
+	keyOff, err := offsetsOf(layout, t.GroupCols)
 	if err != nil {
 		return nil, err
 	}
-	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()
-	lOff, err := offsetsOf(leftLayout, t.LeftKeys)
-	if err != nil {
-		return nil, err
-	}
-	rOff, err := offsetsOf(rightLayout, t.RightKeys)
-	if err != nil {
-		return nil, err
-	}
-	buildBytes := rowSetBytes(right)
-	if err := c.Mem.Grow("hash join build", buildBytes); err != nil {
-		// The build side does not fit the budget: degrade to a grace hash
-		// join, which partitions it to disk and emits the identical rows.
-		return c.graceHashJoin(t, left, right, lOff, rOff)
-	}
-	defer c.Mem.Shrink(buildBytes)
-	c.noteMemBytes(buildBytes)
-	if c.parallel() && len(left)+len(right) >= minParallelRows {
-		return c.runHashJoinParallel(t, left, right, lOff, rOff)
-	}
-	// Build on the right.
-	build := make(map[uint64][]int, len(right))
-	for i, rr := range right {
-		if hasNullAt(rr, rOff) {
-			continue
-		}
-		c.Counters.HashOps++
-		h := rr.Hash(rOff)
-		build[h] = append(build[h], i)
-	}
-	c.noteMem(int64(len(right)))
-	combined := append(append([]logical.ColumnID{}, leftLayout...), rightLayout...)
-	e := newEnv(combined, nil)
-	rightWidth := len(rightLayout)
-	rightMatched := make([]bool, len(right))
-	var out []datum.Row
-	for li, lr := range left {
-		if li%MorselSize == 0 {
-			if err := c.canceled(); err != nil {
-				return nil, err
-			}
-		}
-		matched := false
-		if !hasNullAt(lr, lOff) {
-			c.Counters.HashOps++
-			h := lr.Hash(lOff)
-			for _, ri := range build[h] {
-				rr := right[ri]
-				if !datum.EqualOn(lr, rr, lOff, rOff) {
-					continue
-				}
-				c.Counters.RowsProcessed++
-				e.row = lr.Concat(rr)
-				ok, err := c.filterRow(t.ExtraOn, e)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				matched = true
-				rightMatched[ri] = true
-				switch t.Kind {
-				case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-					out = append(out, lr.Concat(rr))
-				case logical.SemiJoin:
-					out = append(out, lr)
-				}
-				if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-					break
-				}
-			}
-		}
-		switch t.Kind {
-		case logical.LeftOuterJoin, logical.FullOuterJoin:
-			if !matched {
-				out = append(out, lr.Concat(nullRow(rightWidth)))
-			}
-		case logical.AntiJoin:
-			if !matched {
-				out = append(out, lr)
-			}
-		}
-	}
-	if t.Kind == logical.FullOuterJoin {
-		leftWidth := len(leftLayout)
-		for ri, rr := range right {
-			if !rightMatched[ri] {
-				out = append(out, nullRow(leftWidth).Concat(rr))
-			}
-		}
-	}
-	return out, nil
-}
-
-func (c *Ctx) runGroupBy(input physical.Plan, groupCols []logical.ColumnID, aggs []logical.AggItem, hash bool, estGroups float64) ([]datum.Row, error) {
-	in, err := c.runPlan(input)
-	if err != nil {
-		return nil, err
-	}
-	layout := input.Columns()
-	keyOff, err := offsetsOf(layout, groupCols)
-	if err != nil {
-		return nil, err
-	}
-	if hash && c.parallel() && len(in) >= minParallelRows {
-		out, err := c.runGroupByParallel(in, layout, keyOff, groupCols, aggs)
-		if err != nil && isBudgetErr(err) {
-			// Thread-local tables did not fit: degrade to the (serial)
-			// partition-and-spill aggregation.
-			return c.spillGroupBy(in, layout, keyOff, groupCols, aggs)
-		}
-		return out, err
-	}
-	gt := newGroupTable(len(groupCols), aggs)
-	gt.presize(int(estGroups))
-	if hash {
-		// Stream aggregation over sorted input holds one group at a time in a
-		// real iterator engine; only the hash table is budgeted working memory.
-		gt.mem = c.Mem
-		gt.memOp = "hash aggregation"
-	}
-	defer gt.release()
+	gt := newGroupTable(len(t.GroupCols), t.Aggs)
+	gt.presize(int(t.Rows))
 	e := newEnv(layout, nil)
 	ectx := c.evalCtx(e)
 	for ri, r := range in {
@@ -844,16 +494,13 @@ func (c *Ctx) runGroupBy(input physical.Plan, groupCols []logical.ColumnID, aggs
 			}
 		}
 		c.Counters.RowsProcessed++
-		if hash {
-			c.Counters.HashOps++
-		}
 		e.row = r
 		key := make(datum.Row, len(keyOff))
 		for i, off := range keyOff {
 			key[i] = r[off]
 		}
-		args := make([]datum.D, len(aggs))
-		for i, a := range aggs {
+		args := make([]datum.D, len(t.Aggs))
+		for i, a := range t.Aggs {
 			if a.Arg == nil {
 				args[i] = datum.NewInt(1)
 				continue
@@ -865,14 +512,9 @@ func (c *Ctx) runGroupBy(input physical.Plan, groupCols []logical.ColumnID, aggs
 			args[i] = v
 		}
 		if err := gt.add(key, key.Hash(seqOffsets(len(key))), args); err != nil {
-			if isBudgetErr(err) {
-				gt.release()
-				return c.spillGroupBy(in, layout, keyOff, groupCols, aggs)
-			}
 			return nil, err
 		}
 	}
 	c.noteMem(int64(len(gt.order)))
-	c.noteMemBytes(gt.charged)
 	return gt.rows(), nil
 }

@@ -1,11 +1,11 @@
-// Typed kernels for the vectorized path: predicate filtering over raw
+// Typed kernels for the batch operators: predicate filtering over raw
 // []int64/[]float64/[]string column slices writing selection vectors, hash
 // computation for join/aggregation probes, and the accumulate loops of
-// SUM/COUNT/MIN/MAX/AVG. Every kernel replicates the row engine's SQL
+// SUM/COUNT/MIN/MAX/AVG. Every kernel replicates the scalar evaluator's SQL
 // semantics exactly — three-valued comparison (a NULL operand is never
 // TRUE), the INT/FLOAT comparison family of datum.Compare (so 1 = 1.0), and
-// fsum's compensated summation — which is what makes the vectorized output
-// bit-identical to serial row-mode execution.
+// fsum's compensated summation — which is what makes batch output
+// bit-identical to the reference evaluator's.
 package exec
 
 import (
@@ -19,11 +19,11 @@ import (
 
 // Forms a compiled predicate can take.
 const (
-	predColConst uint8 = iota // col op constant
-	predColCol                // col op col
-	predIsNull                // col IS NULL
-	predIsNotNull             // col IS NOT NULL
-	predNever                 // never TRUE (e.g. comparison against NULL)
+	predColConst  uint8 = iota // col op constant
+	predColCol                 // col op col
+	predIsNull                 // col IS NULL
+	predIsNotNull              // col IS NOT NULL
+	predNever                  // never TRUE (e.g. comparison against NULL)
 )
 
 // compiledPred is one kernel-executable predicate over batch columns.
@@ -35,11 +35,25 @@ type compiledPred struct {
 	c    datum.D // constant operand (predColConst)
 }
 
-// compilePreds translates a pushed-down predicate list into kernel programs.
-// It handles comparisons between columns and constants (and IS [NOT] NULL);
-// anything else — LIKE, arithmetic, IN lists, subqueries, UDFs — reports
-// false and the operator falls back to row-at-a-time evaluation.
-func compilePreds(preds []logical.Scalar, layout []logical.ColumnID) ([]compiledPred, bool) {
+// compilePreds splits a pushed-down conjunction into kernel programs and a
+// residual evaluated row by row. Comparisons between columns and constants
+// and IS [NOT] NULL compile; LIKE, arithmetic, IN lists, OR, subqueries and
+// UDFs stay residual. A conjunction may be evaluated in any order, so running
+// the kernels first does not change which rows pass.
+func compilePreds(preds []logical.Scalar, layout []logical.ColumnID) (kernels []compiledPred, residual []logical.Scalar) {
+	for _, p := range preds {
+		if cp, ok := compilePred(p, layout); ok {
+			kernels = append(kernels, cp)
+		} else {
+			residual = append(residual, p)
+		}
+	}
+	return kernels, residual
+}
+
+// compilePred translates one predicate into a kernel program, reporting
+// false when no kernel applies.
+func compilePred(p logical.Scalar, layout []logical.ColumnID) (compiledPred, bool) {
 	find := func(id logical.ColumnID) int {
 		for i, c := range layout {
 			if c == id {
@@ -48,66 +62,56 @@ func compilePreds(preds []logical.Scalar, layout []logical.ColumnID) ([]compiled
 		}
 		return -1
 	}
-	out := make([]compiledPred, 0, len(preds))
-	for _, p := range preds {
-		switch t := p.(type) {
-		case *logical.Cmp:
-			if t.Op == logical.CmpLike {
-				return nil, false
-			}
-			lc, lIsCol := t.L.(*logical.Col)
-			rc, rIsCol := t.R.(*logical.Col)
-			lk, lIsConst := t.L.(*logical.Const)
-			rk, rIsConst := t.R.(*logical.Const)
-			switch {
-			case lIsCol && rIsCol:
-				a, b := find(lc.ID), find(rc.ID)
-				if a < 0 || b < 0 {
-					return nil, false
-				}
-				out = append(out, compiledPred{form: predColCol, col: a, col2: b, op: t.Op})
-			case lIsCol && rIsConst:
-				a := find(lc.ID)
-				if a < 0 {
-					return nil, false
-				}
-				if rk.Val.IsNull() {
-					out = append(out, compiledPred{form: predNever})
-					continue
-				}
-				out = append(out, compiledPred{form: predColConst, col: a, op: t.Op, c: rk.Val})
-			case lIsConst && rIsCol:
-				a := find(rc.ID)
-				if a < 0 {
-					return nil, false
-				}
-				if lk.Val.IsNull() {
-					out = append(out, compiledPred{form: predNever})
-					continue
-				}
-				out = append(out, compiledPred{form: predColConst, col: a, op: t.Op.Commute(), c: lk.Val})
-			default:
-				return nil, false
-			}
-		case *logical.IsNull:
-			col, ok := t.E.(*logical.Col)
-			if !ok {
-				return nil, false
-			}
-			a := find(col.ID)
-			if a < 0 {
-				return nil, false
-			}
-			form := predIsNull
-			if t.Negated {
-				form = predIsNotNull
-			}
-			out = append(out, compiledPred{form: form, col: a})
-		default:
-			return nil, false
+	switch t := p.(type) {
+	case *logical.Cmp:
+		if t.Op == logical.CmpLike {
+			return compiledPred{}, false
 		}
+		lc, lIsCol := t.L.(*logical.Col)
+		rc, rIsCol := t.R.(*logical.Col)
+		lk, lIsConst := t.L.(*logical.Const)
+		rk, rIsConst := t.R.(*logical.Const)
+		switch {
+		case lIsCol && rIsCol:
+			a, b := find(lc.ID), find(rc.ID)
+			if a < 0 || b < 0 {
+				return compiledPred{}, false
+			}
+			return compiledPred{form: predColCol, col: a, col2: b, op: t.Op}, true
+		case lIsCol && rIsConst:
+			a := find(lc.ID)
+			if a < 0 {
+				return compiledPred{}, false
+			}
+			if rk.Val.IsNull() {
+				return compiledPred{form: predNever}, true
+			}
+			return compiledPred{form: predColConst, col: a, op: t.Op, c: rk.Val}, true
+		case lIsConst && rIsCol:
+			a := find(rc.ID)
+			if a < 0 {
+				return compiledPred{}, false
+			}
+			if lk.Val.IsNull() {
+				return compiledPred{form: predNever}, true
+			}
+			return compiledPred{form: predColConst, col: a, op: t.Op.Commute(), c: lk.Val}, true
+		}
+	case *logical.IsNull:
+		col, ok := t.E.(*logical.Col)
+		if !ok {
+			return compiledPred{}, false
+		}
+		a := find(col.ID)
+		if a < 0 {
+			return compiledPred{}, false
+		}
+		if t.Negated {
+			return compiledPred{form: predIsNotNull, col: a}, true
+		}
+		return compiledPred{form: predIsNull, col: a}, true
 	}
-	return out, true
+	return compiledPred{}, false
 }
 
 // cmpMatches applies a comparison operator to a three-way compare result.
@@ -586,27 +590,17 @@ type vecAccumulator interface {
 	result(g int) datum.D
 }
 
-// newVecAccumulator picks the typed accumulator for an aggregate given the
-// argument vector's runtime representation (nil arg means COUNT(*)). It
-// returns nil when no kernel applies (DISTINCT, boxed arguments, or kinds
-// the aggregate's typed loops do not cover) — the caller then falls back to
-// row-mode aggregation.
+// newVecAccumulator picks the accumulator for an aggregate given the
+// argument vector's runtime representation (nil arg means COUNT(*), the only
+// aggregate without an argument). DISTINCT aggregates and boxed arguments
+// wrap the row accumulators of agg.go.
 func newVecAccumulator(item logical.AggItem, arg *datum.Vec) vecAccumulator {
-	if item.Distinct {
-		return nil
-	}
 	if item.Arg == nil {
-		if item.Fn != logical.AggCount {
-			return nil
-		}
 		return &countVecAcc{star: true}
 	}
-	if arg == nil {
-		return nil
-	}
-	if arg.Boxed() {
-		// Mixed-kind columns replay the row accumulators value-wise; the
-		// per-row cost only arises for data that defeated the typed fill.
+	if item.Distinct || arg.Boxed() {
+		// The per-row cost only arises for DISTINCT and for data that
+		// defeated the typed fill.
 		return &boxedVecAcc{item: item}
 	}
 	k := arg.Kind()
@@ -944,8 +938,8 @@ func (a *nullArgVecAcc) ensure(n int) {
 func (a *nullArgVecAcc) accumulate(*datum.Vec, []int32, []int32) {}
 func (a *nullArgVecAcc) result(int) datum.D                      { return datum.Null }
 
-// boxedVecAcc replays the row engine's accumulator per value for mixed-kind
-// (boxed) argument columns — correctness fallback, not a fast path.
+// boxedVecAcc replays the row accumulators per value: DISTINCT aggregates,
+// mixed-kind (boxed) argument columns, and kinds without a typed loop.
 type boxedVecAcc struct {
 	item logical.AggItem
 	accs []aggAcc

@@ -1,20 +1,15 @@
-// Morsel-driven parallel execution (§7.1 made real): the operators in this
-// file run on a shared worker pool instead of being cost-modeled only. Scans
-// split their input into morsels of ~1024 rows claimed by workers; hash joins
-// partition the build side in parallel, build one hash table per partition and
-// probe morsel-wise; hash aggregation pre-aggregates into thread-local tables
-// merged at the pipeline barrier; Exchange operators are *executed* — goroutine
-// fan-out over hash/round-robin partitions and fan-in that concatenates, or
-// merges order-preservingly when a MergeOrdering is present.
+// Morsel-driven parallel execution (§7.1 made real): a shared worker pool and
+// the morsel loop (forMorsels) every batch operator runs on, plus the
+// parallel forms of the row operators — nested-loop and index-nested-loop
+// probes, sort, and *executed* Exchange operators (goroutine fan-out over
+// hash/round-robin partitions and fan-in that concatenates, or merges
+// order-preservingly when a MergeOrdering is present).
 //
 // Every worker gets a private Ctx (counters, simulated buffer) merged into the
 // parent at the barrier, so the engine is race-free under `go test -race`.
-// Parallel operators are written to emit the same rows in the same order as
-// their serial counterparts wherever the serial order is observable: scans,
-// filters, projections, nested-loop and hash joins concatenate per-morsel
-// outputs in morsel order, and sorts/merging exchanges reproduce the stable
-// serial order exactly. Hash aggregation emits groups in a deterministic but
-// engine-specific order (group output is unordered in SQL).
+// Parallel loops emit the same rows in the same order as a serial run:
+// per-morsel outputs concatenate in morsel order, and sorts/merging exchanges
+// reproduce the stable serial order exactly.
 package exec
 
 import (
@@ -170,6 +165,7 @@ func (c *Ctx) runWorkers(n int, fn func(w int, wc *Ctx) error) error {
 		w := w
 		wc := c.child()
 		wc.bar = bar
+		wc.worker = w
 		children[w] = wc
 		if err := pool.submit(func() {
 			defer wg.Done()
@@ -241,27 +237,30 @@ func firstError(errs []error) error {
 
 func numMorsels(n int) int { return (n + MorselSize - 1) / MorselSize }
 
-// forMorsels fans n items out as morsels over the pool. Morsels are assigned
-// by static striding (worker w takes morsels w, w+W, ...), which keeps every
-// run deterministic. fn receives the morsel index and its [lo, hi) bounds.
+// fanOut reports whether a loop over n items runs on the worker pool: the
+// query is parallel and the input is large enough to pay for the fan-out.
+func (c *Ctx) fanOut(n int) bool { return c.Parallelism > 1 && n >= minParallelRows }
+
+// forMorsels runs fn over n items in morsels of MorselSize. When the loop
+// fans out (see fanOut), morsels are assigned to pool workers by static
+// striding (worker w takes morsels w, w+W, ...), which keeps every run
+// deterministic; otherwise eachMorsel runs them inline. fn receives the
+// morsel index and its [lo, hi) bounds.
 //
 // Each morsel boundary is a governor checkpoint: workers stop when the query
 // is canceled or a sibling worker has already failed, so errors and
 // cancellations surface within about one morsel of work. Errors are tagged
 // with their morsel index, making "first error wins" mean first in morsel
-// order, not first in wall-clock order.
+// order, not first in wall-clock order — the error an inline run returns.
 func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
-	nm := numMorsels(n)
-	if nm == 0 {
-		return nil
+	if !c.fanOut(n) {
+		return c.eachMorsel(n, fn)
 	}
+	nm := numMorsels(n)
 	if c.curNode != nil {
 		c.curNode.Batches += int64(nm)
 	}
-	w := c.workers()
-	if w > nm {
-		w = nm
-	}
+	w := min(c.workers(), nm)
 	return c.runWorkers(w, func(wk int, wc *Ctx) error {
 		for m := wk; m < nm; m += w {
 			if wc.bar.aborted() {
@@ -271,11 +270,7 @@ func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
 				return &seqError{seq: m, err: err}
 			}
 			lo := m * MorselSize
-			hi := lo + MorselSize
-			if hi > n {
-				hi = n
-			}
-			if err := fn(wc, m, lo, hi); err != nil {
+			if err := fn(wc, m, lo, min(lo+MorselSize, n)); err != nil {
 				return &seqError{seq: m, err: err}
 			}
 		}
@@ -283,9 +278,28 @@ func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
 	})
 }
 
+// eachMorsel is forMorsels' inline loop: the morsels run in order on c
+// itself, with the same cancellation checkpoint per morsel.
+func (c *Ctx) eachMorsel(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
+	nm := numMorsels(n)
+	if c.curNode != nil {
+		c.curNode.Batches += int64(nm)
+	}
+	for m := 0; m < nm; m++ {
+		if err := c.canceled(); err != nil {
+			return err
+		}
+		lo := m * MorselSize
+		if err := fn(c, m, lo, min(lo+MorselSize, n)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // concatMorsels flattens per-morsel outputs in morsel order, so parallel
 // operators keep the serial row order.
-func concatMorsels(outs [][]datum.Row) []datum.Row {
+func concatMorsels[T any](outs [][]T) []T {
 	total := 0
 	for _, o := range outs {
 		total += len(o)
@@ -293,254 +307,43 @@ func concatMorsels(outs [][]datum.Row) []datum.Row {
 	if total == 0 {
 		return nil
 	}
-	flat := make([]datum.Row, 0, total)
+	flat := make([]T, 0, total)
 	for _, o := range outs {
 		flat = append(flat, o...)
 	}
 	return flat
 }
 
-// --- parallel scans, filter, project ---
-
-// scanRowsParallel applies projection and pushed-down filters to base rows
-// morsel-wise.
-func (c *Ctx) scanRowsParallel(rows []datum.Row, cols []logical.ColumnID, colOrds []int, filter []logical.Scalar) ([]datum.Row, error) {
-	outs := make([][]datum.Row, numMorsels(len(rows)))
-	err := c.forMorsels(len(rows), func(wc *Ctx, m, lo, hi int) error {
-		if err := wc.step("scan"); err != nil {
-			return err
-		}
-		e := newEnv(cols, nil)
-		out := getRowBuf()
-		for _, r := range rows[lo:hi] {
-			wc.Counters.RowsProcessed++
-			pr := projectRow(r, colOrds)
-			if len(filter) > 0 {
-				e.row = pr
-				ok, err := wc.filterRow(filter, e)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out = append(out, pr)
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatMorselsPooled(outs), nil
+// morselOut collects a forMorsels loop's output in morsel order: appended
+// straight to one slice when the loop runs inline, kept per morsel and
+// concatenated when it fans out. n must be the loop's item count.
+type morselOut[T any] struct {
+	all []T
+	per [][]T
 }
 
-// filterRowsParallel evaluates predicates over already-projected rows.
-func (c *Ctx) filterRowsParallel(in []datum.Row, layout []logical.ColumnID, preds []logical.Scalar) ([]datum.Row, error) {
-	outs := make([][]datum.Row, numMorsels(len(in)))
-	err := c.forMorsels(len(in), func(wc *Ctx, m, lo, hi int) error {
-		e := newEnv(layout, nil)
-		out := getRowBuf()
-		for _, r := range in[lo:hi] {
-			wc.Counters.RowsProcessed++
-			e.row = r
-			ok, err := wc.filterRow(preds, e)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
+func newMorselOut[T any](c *Ctx, n int) *morselOut[T] {
+	o := &morselOut[T]{}
+	if c.fanOut(n) {
+		o.per = make([][]T, numMorsels(n))
 	}
-	return concatMorselsPooled(outs), nil
+	return o
 }
 
-// projectRowsParallel computes projection items over morsels.
-func (c *Ctx) projectRowsParallel(in []datum.Row, layout []logical.ColumnID, items []logical.ProjectItem) ([]datum.Row, error) {
-	outs := make([][]datum.Row, numMorsels(len(in)))
-	err := c.forMorsels(len(in), func(wc *Ctx, m, lo, hi int) error {
-		e := newEnv(layout, nil)
-		ectx := wc.evalCtx(e)
-		out := make([]datum.Row, 0, hi-lo)
-		for _, r := range in[lo:hi] {
-			wc.Counters.RowsProcessed++
-			e.row = r
-			nr := make(datum.Row, len(items))
-			for i, it := range items {
-				v, err := logical.Eval(it.Expr, ectx)
-				if err != nil {
-					return err
-				}
-				nr[i] = v
-			}
-			out = append(out, nr)
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// dst returns the slice morsel m appends to.
+func (o *morselOut[T]) dst(m int) *[]T {
+	if o.per == nil {
+		return &o.all
 	}
-	return concatMorsels(outs), nil
+	return &o.per[m]
 }
 
-// --- partitioned parallel hash join ---
-
-// runHashJoinParallel executes a hash join as: parallel hash-partition of the
-// build (right) side → one hash table per partition built in parallel →
-// morsel-parallel probe of the partitioned table. Bucket lists preserve the
-// build side's original row order, so each probe row sees its matches in
-// exactly the serial order and the concatenated output is serial-identical.
-func (c *Ctx) runHashJoinParallel(t *physical.HashJoin, left, right []datum.Row, lOff, rOff []int) ([]datum.Row, error) {
-	nParts := c.workers()
-	nmBuild := numMorsels(len(right))
-	// Fan-out: each morsel partitions its build rows by hash, keeping indices
-	// in row order.
-	parts := make([][][]int, nmBuild)
-	err := c.forMorsels(len(right), func(wc *Ctx, m, lo, hi int) error {
-		loc := make([][]int, nParts)
-		for i := lo; i < hi; i++ {
-			rr := right[i]
-			if hasNullAt(rr, rOff) {
-				continue // NULL keys never match; FullOuter emits them later
-			}
-			wc.Counters.HashOps++
-			p := int(rr.Hash(rOff) % uint64(nParts))
-			loc[p] = append(loc[p], i)
-		}
-		parts[m] = loc
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// flat returns the collected output in morsel order.
+func (o *morselOut[T]) flat() []T {
+	if o.per == nil {
+		return o.all
 	}
-	// Per-partition build: concatenating morsel lists in morsel order keeps
-	// bucket entries in global build-row order (matching the serial build).
-	builds := make([]map[uint64][]int, nParts)
-	err = c.runWorkers(nParts, func(w int, wc *Ctx) error {
-		// Pre-size for an even partition split: rehash churn on the build is
-		// pure overhead, and skew only makes one map larger than its hint.
-		b := make(map[uint64][]int, len(right)/nParts+1)
-		for m := 0; m < nmBuild; m++ {
-			if m%64 == 0 {
-				if wc.bar.aborted() {
-					return errBarrierAborted
-				}
-				if err := wc.canceled(); err != nil {
-					return err
-				}
-			}
-			for _, i := range parts[m][w] {
-				h := right[i].Hash(rOff)
-				b[h] = append(b[h], i)
-			}
-		}
-		builds[w] = b
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.noteMem(int64(len(right)))
-
-	// Morsel-parallel probe.
-	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()
-	combined := append(append([]logical.ColumnID{}, leftLayout...), rightLayout...)
-	rightWidth := len(rightLayout)
-	nmProbe := numMorsels(len(left))
-	outs := make([][]datum.Row, nmProbe)
-	needMatched := t.Kind == logical.FullOuterJoin
-	var matchedMu sync.Mutex
-	var workerMatched [][]bool
-	err = c.forMorsels(len(left), func(wc *Ctx, m, lo, hi int) error {
-		e := newEnv(combined, nil)
-		var out []datum.Row
-		var matched []bool
-		for _, lr := range left[lo:hi] {
-			lrMatched := false
-			if !hasNullAt(lr, lOff) {
-				wc.Counters.HashOps++
-				h := lr.Hash(lOff)
-				bucket := builds[int(h%uint64(nParts))][h]
-				for _, ri := range bucket {
-					rr := right[ri]
-					if !datum.EqualOn(lr, rr, lOff, rOff) {
-						continue
-					}
-					wc.Counters.RowsProcessed++
-					e.row = lr.Concat(rr)
-					ok, err := wc.filterRow(t.ExtraOn, e)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						continue
-					}
-					lrMatched = true
-					if needMatched {
-						if matched == nil {
-							matched = make([]bool, len(right))
-						}
-						matched[ri] = true
-					}
-					switch t.Kind {
-					case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-						out = append(out, lr.Concat(rr))
-					case logical.SemiJoin:
-						out = append(out, lr)
-					}
-					if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-						break
-					}
-				}
-			}
-			switch t.Kind {
-			case logical.LeftOuterJoin, logical.FullOuterJoin:
-				if !lrMatched {
-					out = append(out, lr.Concat(nullRow(rightWidth)))
-				}
-			case logical.AntiJoin:
-				if !lrMatched {
-					out = append(out, lr)
-				}
-			}
-		}
-		outs[m] = out
-		if matched != nil {
-			matchedMu.Lock()
-			workerMatched = append(workerMatched, matched)
-			matchedMu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := concatMorsels(outs)
-	if needMatched {
-		rightMatched := make([]bool, len(right))
-		for _, wm := range workerMatched {
-			for i, b := range wm {
-				if b {
-					rightMatched[i] = true
-				}
-			}
-		}
-		leftWidth := len(leftLayout)
-		for ri, rr := range right {
-			if !rightMatched[ri] {
-				out = append(out, nullRow(leftWidth).Concat(rr))
-			}
-		}
-	}
-	return out, nil
+	return concatMorsels(o.per)
 }
 
 // --- parallel nested-loop and index-nested-loop probes ---
@@ -704,139 +507,6 @@ func (c *Ctx) runINLJoinParallel(t *physical.INLJoin, left []datum.Row, tab *sto
 	return concatMorsels(outs), nil
 }
 
-// fetchRowsParallel projects and filters fetched row ids morsel-wise (the
-// fetch phase of a parallel index scan).
-func (c *Ctx) fetchRowsParallel(tab *storage.Table, ids []int, cols []logical.ColumnID, colOrds []int, filter []logical.Scalar) ([]datum.Row, error) {
-	outs := make([][]datum.Row, numMorsels(len(ids)))
-	err := c.forMorsels(len(ids), func(wc *Ctx, m, lo, hi int) error {
-		if err := wc.step("scan"); err != nil {
-			return err
-		}
-		e := newEnv(cols, nil)
-		out := getRowBuf()
-		for _, id := range ids[lo:hi] {
-			wc.Counters.RowsProcessed++
-			r, err := wc.rowAt(tab, id)
-			if err != nil {
-				return err
-			}
-			pr := projectRow(r, colOrds)
-			if len(filter) > 0 {
-				e.row = pr
-				ok, err := wc.filterRow(filter, e)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out = append(out, pr)
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatMorselsPooled(outs), nil
-}
-
-// --- parallel hash aggregation ---
-
-// runGroupByParallel pre-aggregates morsels into thread-local group tables and
-// merges them at the barrier — the classic two-phase parallel aggregation.
-func (c *Ctx) runGroupByParallel(in []datum.Row, layout []logical.ColumnID, keyOff []int, groupCols []logical.ColumnID, aggs []logical.AggItem) ([]datum.Row, error) {
-	nm := numMorsels(len(in))
-	nW := c.workers()
-	if nW > nm {
-		nW = nm
-	}
-	tables := make([]*groupTable, nW)
-	err := c.runWorkers(nW, func(w int, wc *Ctx) error {
-		gt := newGroupTable(len(groupCols), aggs)
-		// All thread-local tables draw on the query's shared account; the
-		// caller degrades to spillGroupBy when any of them trips the budget.
-		gt.mem = c.Mem
-		gt.memOp = "hash aggregation"
-		tables[w] = gt
-		e := newEnv(layout, nil)
-		ectx := wc.evalCtx(e)
-		for m := w; m < nm; m += nW {
-			if wc.bar.aborted() {
-				return errBarrierAborted
-			}
-			if err := wc.canceled(); err != nil {
-				return &seqError{seq: m, err: err}
-			}
-			lo := m * MorselSize
-			hi := lo + MorselSize
-			if hi > len(in) {
-				hi = len(in)
-			}
-			for _, r := range in[lo:hi] {
-				wc.Counters.RowsProcessed++
-				wc.Counters.HashOps++
-				e.row = r
-				key := make(datum.Row, len(keyOff))
-				for i, off := range keyOff {
-					key[i] = r[off]
-				}
-				args := make([]datum.D, len(aggs))
-				for i, a := range aggs {
-					if a.Arg == nil {
-						args[i] = datum.NewInt(1)
-						continue
-					}
-					v, err := logical.Eval(a.Arg, ectx)
-					if err != nil {
-						return err
-					}
-					args[i] = v
-				}
-				if err := gt.add(key, key.Hash(seqOffsets(len(key))), args); err != nil {
-					return &seqError{seq: m, err: err}
-				}
-			}
-		}
-		return nil
-	})
-	release := func() {
-		for _, gt := range tables {
-			if gt != nil {
-				gt.release()
-			}
-		}
-	}
-	defer release()
-	if err != nil {
-		return nil, err
-	}
-	// Peak memory: the thread-local tables coexist until the merge completes.
-	var partial int64
-	var partialBytes int64
-	for _, gt := range tables {
-		if gt != nil {
-			partial += int64(len(gt.order))
-			partialBytes += gt.charged
-		}
-	}
-	final := newGroupTable(len(groupCols), aggs)
-	final.mem = c.Mem
-	final.memOp = "hash aggregation"
-	defer final.release()
-	for _, gt := range tables {
-		if gt != nil {
-			if err := final.mergeFrom(gt); err != nil {
-				return nil, err
-			}
-		}
-	}
-	c.noteMem(partial + int64(len(final.order)))
-	c.noteMemBytes(partialBytes + final.charged)
-	return final.rows(), nil
-}
-
 // --- parallel sort ---
 
 // sortRowsParallel sorts rows by spec with contiguous chunk sorts on workers
@@ -925,7 +595,7 @@ func (c *Ctx) runExchange(t *physical.Exchange) ([]datum.Row, error) {
 	// The exchange buffer is a materialization point: it must complete
 	// regardless of the budget, so its footprint is observed, not reserved.
 	c.Mem.NotePeak(rowSetBytes(in))
-	if !c.parallel() || len(in) < minParallelRows {
+	if !c.fanOut(len(in)) {
 		return in, nil
 	}
 	degree := t.Degree

@@ -241,28 +241,6 @@ func (p *scanPruner) dispRange(lo, hi int) storage.ZoneDisp {
 	return disp
 }
 
-// scanRegion is one contiguous row range a pruned scan must read.
-type scanRegion struct {
-	lo, hi int
-	disp   storage.ZoneDisp
-}
-
-// liveRegions returns the row ranges that survive elimination, in row order:
-// every non-ZoneNone segment plus the unsealed tail.
-func (p *scanPruner) liveRegions() []scanRegion {
-	out := make([]scanRegion, 0, len(p.layout)+1)
-	for i, seg := range p.layout {
-		if p.disp[i] == storage.ZoneNone {
-			continue
-		}
-		out = append(out, scanRegion{lo: seg.StartRow, hi: seg.StartRow + seg.Rows, disp: p.disp[i]})
-	}
-	if p.total > p.sealed {
-		out = append(out, scanRegion{lo: p.sealed, hi: p.total, disp: storage.ZoneSome})
-	}
-	return out
-}
-
 // notePruner records the elimination outcome once per scan operator: segment
 // read/pruned counts, and buffer-pool page touches for the segments (and
 // tail) the scan will read — eliminated segments charge nothing, which is how

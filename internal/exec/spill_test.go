@@ -106,10 +106,10 @@ func TestSpillFanoutBounds(t *testing.T) {
 		total, avail int64
 		want         int
 	}{
-		{0, 1 << 30, 2},                   // at least two partitions
-		{1 << 30, 1 << 20, 64},            // capped at the max fanout
-		{1 << 20, 1 << 20, 2},             // total/(avail/2) = 2
-		{200 << 10, 10, 4},                // tiny budget: floor of 64 KiB chunks
+		{0, 1 << 30, 2},        // at least two partitions
+		{1 << 30, 1 << 20, 64}, // capped at the max fanout
+		{1 << 20, 1 << 20, 2},  // total/(avail/2) = 2
+		{200 << 10, 10, 4},     // tiny budget: floor of 64 KiB chunks
 	}
 	for _, tc := range cases {
 		if got := spillFanout(tc.total, tc.avail); got != tc.want {
@@ -152,15 +152,24 @@ func TestExternalSortMatchesStableSort(t *testing.T) {
 	}
 }
 
-// buildHashJoinFixture returns a hash-join node plus materialized inputs over
-// two synthetic tables (left probe, right build).
+// buildHashJoinFixture returns a hash-join node over two VALUES inputs
+// holding left (probe) and right (build), plus the key offsets.
 func buildHashJoinFixture(kind logical.JoinKind, left, right []datum.Row) (*physical.HashJoin, []int, []int) {
+	values := func(cols []logical.ColumnID, rows []datum.Row) *physical.ValuesOp {
+		v := &physical.ValuesOp{Cols: cols}
+		for _, r := range rows {
+			row := make([]logical.Scalar, len(r))
+			for i, d := range r {
+				row[i] = &logical.Const{Val: d}
+			}
+			v.Rows = append(v.Rows, row)
+		}
+		return v
+	}
 	lCols := []logical.ColumnID{1, 2, 3}
-	rCols := []logical.ColumnID{4, 5}
-	lv := &physical.ValuesOp{Cols: lCols}
-	rv := &physical.ValuesOp{Cols: rCols}
+	rCols := []logical.ColumnID{4, 5, 6}
 	hj := &physical.HashJoin{
-		Kind: kind, Left: lv, Right: rv,
+		Kind: kind, Left: values(lCols, left), Right: values(rCols, right),
 		LeftKeys: lCols[:1], RightKeys: rCols[:1],
 	}
 	return hj, []int{0}, []int{0}
@@ -178,12 +187,12 @@ func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		hj, lOff, rOff := buildHashJoinFixture(kind, left, right)
-		// In-memory truth via the serial hash join body (unlimited budget).
-		truth := NewCtx(nil, nil)
-		want, err := truth.hashJoinRows(hj, left, right, lOff, rOff)
+		// In-memory truth: the hash join operator with an unlimited budget.
+		res, err := Run(hj, NewCtx(nil, nil))
 		if err != nil {
 			t.Fatalf("%v in-memory: %v", kind, err)
 		}
+		want := res.Rows
 		c := spillCtx(t, 1) // any build fails -> grace join, floor keeps partitions alive
 		got, err := c.graceHashJoin(hj, left, right, lOff, rOff)
 		if err != nil {
@@ -204,73 +213,6 @@ func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 			t.Fatalf("%v: leaked %d reserved bytes", kind, c.Mem.Used())
 		}
 	}
-}
-
-// hashJoinRows runs the serial in-memory hash join over materialized inputs —
-// test helper mirroring runHashJoin's post-materialization body.
-func (c *Ctx) hashJoinRows(t *physical.HashJoin, left, right []datum.Row, lOff, rOff []int) ([]datum.Row, error) {
-	build := make(map[uint64][]int, len(right))
-	for i, rr := range right {
-		if hasNullAt(rr, rOff) {
-			continue
-		}
-		build[rr.Hash(rOff)] = append(build[rr.Hash(rOff)], i)
-	}
-	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()
-	combined := append(append([]logical.ColumnID{}, leftLayout...), rightLayout...)
-	e := newEnv(combined, nil)
-	rightWidth := len(rightLayout)
-	rightMatched := make([]bool, len(right))
-	var out []datum.Row
-	for _, lr := range left {
-		matched := false
-		if !hasNullAt(lr, lOff) {
-			for _, ri := range build[lr.Hash(lOff)] {
-				rr := right[ri]
-				if !datum.EqualOn(lr, rr, lOff, rOff) {
-					continue
-				}
-				e.row = lr.Concat(rr)
-				ok, err := c.filterRow(t.ExtraOn, e)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				matched = true
-				rightMatched[ri] = true
-				switch t.Kind {
-				case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-					out = append(out, lr.Concat(rr))
-				case logical.SemiJoin:
-					out = append(out, lr)
-				}
-				if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-					break
-				}
-			}
-		}
-		switch t.Kind {
-		case logical.LeftOuterJoin, logical.FullOuterJoin:
-			if !matched {
-				out = append(out, lr.Concat(nullRow(rightWidth)))
-			}
-		case logical.AntiJoin:
-			if !matched {
-				out = append(out, lr)
-			}
-		}
-	}
-	if t.Kind == logical.FullOuterJoin {
-		leftWidth := len(leftLayout)
-		for ri, rr := range right {
-			if !rightMatched[ri] {
-				out = append(out, nullRow(leftWidth).Concat(rr))
-			}
-		}
-	}
-	return out, nil
 }
 
 // TestGraceHashJoinSkewFailsTyped: a build side whose keys are all equal

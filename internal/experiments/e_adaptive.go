@@ -42,12 +42,12 @@ type AdaptiveArm struct {
 
 // AdaptiveBenchResult is the full planning-vs-execution tradeoff run.
 type AdaptiveBenchResult struct {
-	Queries    int    `json:"queries"`
-	EmpRows    int    `json:"emp_rows"`
-	Seed       int64  `json:"seed"`
-	Reps       int    `json:"plan_reps"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
+	Queries    int   `json:"queries"`
+	EmpRows    int   `json:"emp_rows"`
+	Seed       int64 `json:"seed"`
+	Reps       int   `json:"plan_reps"`
+	GOMAXPROCS int   `json:"gomaxprocs"`
+	NumCPU     int   `json:"num_cpu"`
 	// IdenticalResults reports that both arms produced bit-identical row
 	// multisets for every statement in the corpus.
 	IdenticalResults bool `json:"identical_results"`
@@ -175,9 +175,9 @@ func RunAdaptiveBench(queries, empRows, reps int, seed int64) *AdaptiveBenchResu
 func E26AdaptivePlanning() Table {
 	r := RunAdaptiveBench(60, 5000, 5, 7)
 	t := Table{
-		ID:    "E26",
-		Title: "Adaptive planning: greedy fast path vs full DP",
-		Claim: "for short statements, greedy join ordering planned faster than DP enumeration with bounded execution-time regression and identical results",
+		ID:      "E26",
+		Title:   "Adaptive planning: greedy fast path vs full DP",
+		Claim:   "for short statements, greedy join ordering planned faster than DP enumeration with bounded execution-time regression and identical results",
 		Headers: []string{"arm", "mean plan (µs)", "mean exec (µs)", "total est cost", "tiers"},
 	}
 	for _, a := range r.Arms {

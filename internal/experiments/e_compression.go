@@ -186,10 +186,10 @@ func RunCompressionBench(rows, segRows, reps int) *CompressionBenchResult {
 					best = CompressionBenchRow{
 						Parallelism: par, Arm: arm,
 						ColdWallSec: coldSec, WarmWallSec: warmSec, MemWallSec: memSec,
-						ColdBytesRead: coldCtr.BytesRead,
-						BlocksDict:    coldCtr.BlocksDict,
-						BlocksRLE:     coldCtr.BlocksRLE,
-						BlocksPlain:   coldCtr.BlocksPlain,
+						ColdBytesRead:  coldCtr.BytesRead,
+						BlocksDict:     coldCtr.BlocksDict,
+						BlocksRLE:      coldCtr.BlocksRLE,
+						BlocksPlain:    coldCtr.BlocksPlain,
 						WarmRowsPerSec: float64(rows) / warmSec,
 						OutputRows:     len(warmRows), Identical: identical,
 					}

@@ -109,7 +109,6 @@ func RunDurabilityBench(rows, segRows, reps int, recoveryCounts []int) *Durabili
 	plan := &physical.TableScan{Table: def, Binding: "m", Cols: cols, ColOrds: []int{0, 1}}
 	run := func(store *storage.Store) (float64, []datum.Row) {
 		ctx := exec.NewCtx(store, md)
-		ctx.Vectorize = true
 		start := time.Now()
 		res, err := exec.Run(plan, ctx)
 		sec := time.Since(start).Seconds()

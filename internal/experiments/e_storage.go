@@ -112,7 +112,6 @@ func RunStorageBench(rows, segRows, reps int) *StorageBenchResult {
 	}
 	run := func(store *storage.Store, p physical.Plan, noPrune bool) (float64, *exec.Counters, []datum.Row) {
 		ctx := exec.NewCtx(store, md)
-		ctx.Vectorize = true
 		ctx.NoPrune = noPrune
 		start := time.Now()
 		res, err := exec.Run(p, ctx)

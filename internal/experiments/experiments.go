@@ -94,7 +94,6 @@ func All() []Table {
 		E21ParallelExecution(),
 		E22AnalyzeFeedback(),
 		E23Robustness(),
-		E24Vectorized(),
 		E26AdaptivePlanning(),
 		E27Storage(),
 		E28Durability(),

@@ -53,6 +53,13 @@ func exactRows(res *Result) []string {
 // bigRandSchema is randSchema scaled past the morsel threshold (~2k rows).
 func bigRandSchema(t *testing.T, opts Options, seed int64) *Engine {
 	t.Helper()
+	return sizedRandSchema(t, opts, seed, 5000, 2000, 400)
+}
+
+// sizedRandSchema is randSchema with r, t and u holding nR, nT and nU rows;
+// r.fk ranges over [0, nT) and t.fk over [0, nU).
+func sizedRandSchema(t *testing.T, opts Options, seed int64, nR, nT, nU int) *Engine {
+	t.Helper()
 	e := New(opts)
 	t.Cleanup(e.Close)
 	e.MustExec(`CREATE TABLE r (pk INT NOT NULL, fk INT, a INT, s VARCHAR, f FLOAT, PRIMARY KEY (pk))`)
@@ -92,16 +99,17 @@ func bigRandSchema(t *testing.T, opts Options, seed int64) *Engine {
 			t.Fatal(err)
 		}
 	}
-	load("r", 5000, 2000, true)
-	load("t", 2000, 400, true)
-	load("u", 400, 0, false)
+	load("r", nR, nT, true)
+	load("t", nT, nU, true)
+	load("u", nU, 0, false)
 	e.MustExec("ANALYZE")
 	return e
 }
 
 // TestParallelQueryEquivalence: same corpus as TestRandomQueryEquivalence,
 // baselined on the serial SystemR engine (serial-vs-reference equivalence is
-// already covered there).
+// already covered there). Every executed scan, filter, projection, hash join
+// and hash aggregation must run on the batch path at every degree.
 func TestParallelQueryEquivalence(t *testing.T) {
 	const trials = 25
 	degrees := []int{1, 2, 8}
@@ -127,10 +135,11 @@ func TestParallelQueryEquivalence(t *testing.T) {
 				}
 			}
 			for i, d := range degrees {
-				pres, err := engines[i].Exec(q)
+				pres, an, err := engines[i].QueryAnalyze(q)
 				if err != nil {
 					t.Fatalf("seed %d trial %d degree %d: %v\nquery: %s", seed, trial, d, err, q)
 				}
+				assertBatchPath(t, an, fmt.Sprintf("seed %d trial %d degree %d query %s", seed, trial, d, q))
 				got := exactRows(pres)
 				if strings.Join(got, ";") != strings.Join(baseline, ";") {
 					t.Fatalf("seed %d trial %d: degree %d disagrees with serial\nquery: %s\nserial (%d rows): %.500v\ngot    (%d rows): %.500v\nplan:\n%s",

@@ -110,11 +110,6 @@ type Options struct {
 	MemBudget int64
 	// TempDir is where spill files are created (empty = os.TempDir()).
 	TempDir string
-	// Vectorize selects the columnar batch execution path. The default
-	// (VectorizeAuto) runs operators with typed kernels over column vectors
-	// and falls back to the row engine for the rest; VectorizeOff forces row
-	// execution everywhere. Results are identical either way.
-	Vectorize VectorizeMode
 	// TotalMemBudget caps the working memory of all concurrently running
 	// queries combined, in modeled bytes: each query's account (capped at
 	// MemBudget) additionally charges this shared pool, so admission-level
@@ -202,18 +197,6 @@ type Options struct {
 	DisableCompression bool
 }
 
-// VectorizeMode selects between the columnar batch path and pure row
-// execution.
-type VectorizeMode uint8
-
-const (
-	// VectorizeAuto (the default) vectorizes operators whose predicates,
-	// projections and aggregates all have typed kernels.
-	VectorizeAuto VectorizeMode = iota
-	// VectorizeOff forces row-at-a-time execution.
-	VectorizeOff
-)
-
 // ErrMemoryBudgetExceeded is returned (wrapped, match with errors.Is) by
 // queries whose working memory cannot fit Options.MemBudget even after
 // spilling to disk.
@@ -268,7 +251,7 @@ type Engine struct {
 	totalMem *exec.MemAccount
 	// plans is the prepared-statement plan cache (nil = disabled); hit/miss
 	// accounting at plan granularity is in cacheHits/cacheMisses.
-	plans                 *plancache.Cache
+	plans                  *plancache.Cache
 	cacheHits, cacheMisses atomic.Int64
 
 	// overrides holds feedback-patched cardinalities harvested from analyzed
@@ -310,11 +293,11 @@ func New(opts Options) *Engine {
 		opts: opts,
 		cat:  catalog.New(),
 		store: storage.NewStoreWith(storage.StoreConfig{
-			Dir:              opts.StorageDir,
-			SegmentRows:      opts.SegmentRows,
-			CacheBytes:       opts.SegmentCacheBytes,
-			IORetries:        opts.IORetries,
-			IORetryBackoff:   opts.IORetryBackoff,
+			Dir:                opts.StorageDir,
+			SegmentRows:        opts.SegmentRows,
+			CacheBytes:         opts.SegmentCacheBytes,
+			IORetries:          opts.IORetries,
+			IORetryBackoff:     opts.IORetryBackoff,
 			DisableChecksums:   opts.DisableChecksums,
 			DisableCompression: opts.DisableCompression,
 		}),
@@ -866,7 +849,6 @@ func (e *Engine) newExecCtx(ctx context.Context, meta *logical.Metadata) *exec.C
 	ec.Mem = exec.NewMemAccountWithParent(e.opts.MemBudget, e.totalMem)
 	ec.TempDir = e.opts.TempDir
 	ec.Faults = e.faults
-	ec.Vectorize = e.opts.Vectorize != VectorizeOff
 	ec.NoPrune = e.opts.DisableZoneMaps
 	if e.opts.Parallelism > 1 {
 		ec.Parallelism = e.opts.Parallelism
@@ -952,12 +934,12 @@ func (e *Engine) finish(q *logical.Query, plan physical.Plan, res *exec.Result, 
 		Columns:              q.ColNames,
 		UsedMaterializedView: mv,
 		Stats: ExecStats{
-			PagesRead:     ctx.Counters.PagesRead,
-			RowsProcessed: ctx.Counters.RowsProcessed,
-			IndexSeeks:    ctx.Counters.IndexSeeks,
-			SubqueryEvals: ctx.Counters.SubqueryEvals,
-			HashOps:       ctx.Counters.HashOps,
-			Comparisons:   ctx.Counters.Comparisons,
+			PagesRead:      ctx.Counters.PagesRead,
+			RowsProcessed:  ctx.Counters.RowsProcessed,
+			IndexSeeks:     ctx.Counters.IndexSeeks,
+			SubqueryEvals:  ctx.Counters.SubqueryEvals,
+			HashOps:        ctx.Counters.HashOps,
+			Comparisons:    ctx.Counters.Comparisons,
 			Spills:         ctx.Counters.Spills,
 			SpillBytes:     ctx.Counters.SpillBytes,
 			PeakMemBytes:   ctx.Mem.Peak(),
