@@ -91,7 +91,7 @@ func buildNodeAnalysis(p physical.Plan, md *logical.Metadata, rm *physical.RunMe
 	if m := rm.Lookup(p); m != nil {
 		n.Executed = true
 		n.ActualRows = m.ActualRows
-		n.QError = physical.QError(est, float64(m.ActualRows))
+		n.QError = physical.QError(m.ExpectedRows(est), float64(m.ActualRows))
 		n.Invocations = m.Invocations
 		n.Batches = m.Batches
 		n.Vectorized = m.Vectorized

@@ -10,9 +10,6 @@ import (
 // aggAcc accumulates one aggregate over a group.
 type aggAcc interface {
 	add(v datum.D)
-	// merge folds another accumulator of the same concrete type into this
-	// one, as if its inputs had been added here.
-	merge(o aggAcc)
 	result() datum.D
 }
 
@@ -48,12 +45,10 @@ func (a *countAcc) add(v datum.D) {
 		a.n++
 	}
 }
-func (a *countAcc) merge(o aggAcc)  { a.n += o.(*countAcc).n }
 func (a *countAcc) result() datum.D { return datum.NewInt(a.n) }
 
 // sumAcc sums ints exactly in int64; float inputs switch it to a compensated
-// exact float sum so the result is bit-identical whether rows arrive in one
-// serial stream or as morsel partials merged at any parallelism degree.
+// exact float sum, so the result does not depend on the order rows arrive in.
 type sumAcc struct {
 	any     bool
 	isFloat bool
@@ -83,24 +78,6 @@ func (a *sumAcc) promote() {
 	}
 }
 
-func (a *sumAcc) merge(o aggAcc) {
-	b := o.(*sumAcc)
-	if !b.any {
-		return
-	}
-	a.any = true
-	if b.isFloat || a.isFloat {
-		a.promote()
-		if b.isFloat {
-			a.f.merge(&b.f)
-		} else {
-			a.f.add(float64(b.i))
-		}
-		return
-	}
-	a.i += b.i
-}
-
 func (a *sumAcc) result() datum.D {
 	if !a.any {
 		return datum.Null
@@ -112,8 +89,7 @@ func (a *sumAcc) result() datum.D {
 }
 
 // avgAcc carries an exact sum and a count; like sumAcc, the division happens
-// once at result time over the order-independent exact sum, so parallel and
-// serial AVG agree to the bit.
+// once at result time over the order-independent exact sum.
 type avgAcc struct {
 	n   int64
 	sum compSum
@@ -125,12 +101,6 @@ func (a *avgAcc) add(v datum.D) {
 	}
 	a.n++
 	a.sum.add(v.Float())
-}
-
-func (a *avgAcc) merge(o aggAcc) {
-	b := o.(*avgAcc)
-	a.n += b.n
-	a.sum.merge(&b.sum)
 }
 
 func (a *avgAcc) result() datum.D {
@@ -161,13 +131,6 @@ func (a *minmaxAcc) add(v datum.D) {
 	}
 }
 
-func (a *minmaxAcc) merge(o aggAcc) {
-	b := o.(*minmaxAcc)
-	if b.any {
-		a.add(b.val)
-	}
-}
-
 func (a *minmaxAcc) result() datum.D {
 	if !a.any {
 		return datum.Null
@@ -193,16 +156,6 @@ func (a *distinctAcc) add(v datum.D) {
 	}
 	a.seen[h] = append(a.seen[h], v)
 	a.inner.add(v)
-}
-
-func (a *distinctAcc) merge(o aggAcc) {
-	// Replaying the other side's distinct values through add keeps the
-	// combined deduplication exact.
-	for _, vs := range o.(*distinctAcc).seen {
-		for _, v := range vs {
-			a.add(v)
-		}
-	}
 }
 
 func (a *distinctAcc) result() datum.D { return a.inner.result() }
@@ -318,25 +271,6 @@ func (gt *groupTable) add(key datum.Row, hash uint64, argVals []datum.D) error {
 	}
 	for i := range gt.aggs {
 		e.accs[i].add(argVals[i])
-	}
-	return nil
-}
-
-// mergeFrom folds another table's groups into gt (same group layout and
-// aggregates).
-func (gt *groupTable) mergeFrom(o *groupTable) error {
-	for _, e := range o.order {
-		var h uint64
-		if !gt.scalar && len(e.key) > 0 {
-			h = e.key.Hash(seqOffsets(len(e.key)))
-		}
-		dst, err := gt.ensure(e.key, h)
-		if err != nil {
-			return err
-		}
-		for i := range gt.aggs {
-			dst.accs[i].merge(e.accs[i])
-		}
 	}
 	return nil
 }

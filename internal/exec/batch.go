@@ -3,8 +3,8 @@
 // optional selection vector naming the live rows. Scans produce batches
 // straight from storage, kernels in kernels.go filter/hash/aggregate them
 // without per-row interface dispatch, and ToRows materializes the boundary to
-// the row operators (joins other than hash, stream aggregation, sort, limit,
-// union, values, exchange).
+// the row operators (joins other than hash, stream aggregation, union, values,
+// exchange).
 package exec
 
 import (

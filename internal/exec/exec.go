@@ -1,7 +1,7 @@
 // Package exec implements query execution: a materializing engine over
 // physical plans (Figure 1 of the paper) — columnar batch operators for scans,
-// filters, projections, hash joins and hash aggregation (vector.go), row
-// operators for the rest (iter.go) — and a naive recursive evaluator over
+// filters, projections, hash joins and hash aggregation (vector.go) and for
+// sort and limit (sort.go), row operators for the rest (iter.go) — and a naive recursive evaluator over
 // logical trees. The naive evaluator serves three roles: the reference
 // implementation for correctness tests, the tuple-iteration semantics used to
 // evaluate correlated subqueries that were not unnested (the baseline §4.2
@@ -103,6 +103,8 @@ type Ctx struct {
 	// bar is the abort barrier of the runWorkers call this (child) context
 	// belongs to; nil on the coordinating context.
 	bar *barrier
+	// topN is the row bound a running LIMIT hands to the Sort below it.
+	topN topN
 	// worker is this child context's worker index in its runWorkers call (0
 	// on the coordinating context), so operators can keep one scratch per
 	// worker.

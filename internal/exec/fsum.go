@@ -7,10 +7,7 @@ import "math"
 // the algorithm behind CPython's math.fsum) and rounds only once, when the
 // value is read. Because the retained expansion is the exact real-number sum
 // of everything added, the rounded result is independent of the order values
-// arrive in — summing morsel partials merged at a pipeline barrier yields the
-// same bits as one serial left-to-right pass. That makes parallel SUM/AVG
-// bit-identical to serial at every degree, where a plain (or even Kahan)
-// running sum would drift with the partition boundaries.
+// arrive in, where a plain (or even Kahan) running sum would drift with it.
 type compSum struct {
 	partials []float64
 	// special accumulates infinities and NaNs outside the expansion (two-sum
@@ -41,19 +38,6 @@ func (c *compSum) add(x float64) {
 		x = hi
 	}
 	c.partials = append(c.partials[:i], x)
-}
-
-// merge folds another accumulator's exact state into this one. Partials are
-// themselves ordinary floats, so replaying them through add preserves
-// exactness.
-func (c *compSum) merge(o *compSum) {
-	for _, p := range o.partials {
-		c.add(p)
-	}
-	if o.hasSpecial {
-		c.special += o.special
-		c.hasSpecial = true
-	}
 }
 
 // value returns the correctly rounded (round-half-even) sum of the expansion.

@@ -8,8 +8,8 @@ import (
 	"repro/internal/datum"
 )
 
-// TestCompSumOrderIndependent: any partitioning and ordering of the same
-// multiset of floats must round to the same bits.
+// TestCompSumOrderIndependent: any ordering of the same multiset of floats
+// must round to the same bits.
 func TestCompSumOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -23,21 +23,12 @@ func TestCompSumOrderIndependent(t *testing.T) {
 		for _, v := range vals {
 			serial.add(v)
 		}
-		want := serial.value()
-
-		// Shuffled two-phase: random partition count, random order inside.
-		perm := rng.Perm(n)
-		parts := 1 + rng.Intn(8)
-		partials := make([]compSum, parts)
-		for i, pi := range perm {
-			partials[i%parts].add(vals[pi])
+		var shuffled compSum
+		for _, pi := range rng.Perm(n) {
+			shuffled.add(vals[pi])
 		}
-		var merged compSum
-		for i := range partials {
-			merged.merge(&partials[i])
-		}
-		if got := merged.value(); got != want {
-			t.Fatalf("trial %d: serial=%x merged=%x (n=%d parts=%d)", trial, want, got, n, parts)
+		if got, want := shuffled.value(), serial.value(); got != want {
+			t.Fatalf("trial %d: in order=%x shuffled=%x (n=%d)", trial, want, got, n)
 		}
 	}
 }
@@ -80,39 +71,30 @@ func TestCompSumSpecials(t *testing.T) {
 	}
 }
 
-// TestSumAvgAccBitIdentical: the SQL accumulators built on compSum agree
-// between one serial accumulator and merged partials, bit for bit.
+// TestSumAvgAccBitIdentical: the SQL accumulators built on compSum agree bit
+// for bit however their input is ordered.
 func TestSumAvgAccBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]datum.D, 400)
 	for i := range vals {
 		vals[i] = datum.NewFloat((rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(12)-6)))
 	}
-	for _, parts := range []int{2, 3, 8} {
-		serialSum, serialAvg := &sumAcc{}, &avgAcc{}
-		for _, v := range vals {
-			serialSum.add(v)
-			serialAvg.add(v)
+	serialSum, serialAvg := &sumAcc{}, &avgAcc{}
+	for _, v := range vals {
+		serialSum.add(v)
+		serialAvg.add(v)
+	}
+	for trial := 0; trial < 3; trial++ {
+		sum, avg := &sumAcc{}, &avgAcc{}
+		for _, i := range rng.Perm(len(vals)) {
+			sum.add(vals[i])
+			avg.add(vals[i])
 		}
-		sums := make([]*sumAcc, parts)
-		avgs := make([]*avgAcc, parts)
-		for i := range sums {
-			sums[i], avgs[i] = &sumAcc{}, &avgAcc{}
+		if a, b := serialSum.result().Float(), sum.result().Float(); a != b {
+			t.Errorf("SUM differs in shuffle %d: in order=%x shuffled=%x", trial, a, b)
 		}
-		for i, v := range vals {
-			sums[i%parts].add(v)
-			avgs[i%parts].add(v)
-		}
-		mergedSum, mergedAvg := &sumAcc{}, &avgAcc{}
-		for i := range sums {
-			mergedSum.merge(sums[i])
-			mergedAvg.merge(avgs[i])
-		}
-		if a, b := serialSum.result().Float(), mergedSum.result().Float(); a != b {
-			t.Errorf("SUM differs at %d partitions: serial=%x merged=%x", parts, a, b)
-		}
-		if a, b := serialAvg.result().Float(), mergedAvg.result().Float(); a != b {
-			t.Errorf("AVG differs at %d partitions: serial=%x merged=%x", parts, a, b)
+		if a, b := serialAvg.result().Float(), avg.result().Float(); a != b {
+			t.Errorf("AVG differs in shuffle %d: in order=%x shuffled=%x", trial, a, b)
 		}
 	}
 }

@@ -34,17 +34,14 @@ func RunPlanQuery(p physical.Plan, q *logical.Query, c *Ctx) (*Result, error) {
 	return presentation(res, q)
 }
 
-// sortResult sorts rows in place by the ordering over the result layout. An
-// ORDER BY column missing from the layout is an execution error — silently
-// returning unsorted rows would hide a planner bug.
+// sortResult stably sorts materialized rows in place by the ordering over
+// the result layout — the sort of the reference evaluator and of a plan whose
+// ordering does not satisfy the query's ORDER BY. Plans sort through the
+// batch Sort operator (sort.go).
 func (c *Ctx) sortResult(res *Result, by logical.Ordering) error {
-	spec := make([]datum.SortSpec, len(by))
-	for i, o := range by {
-		off := res.ColIndex(o.Col)
-		if off < 0 {
-			return fmt.Errorf("exec: ORDER BY column @%d not in result layout", int(o.Col))
-		}
-		spec[i] = datum.SortSpec{Col: off, Desc: o.Desc}
+	spec, err := sortSpec(res.Cols, by)
+	if err != nil {
+		return err
 	}
 	c.noteMem(int64(len(res.Rows)))
 	need := rowSetBytes(res.Rows)
@@ -60,10 +57,6 @@ func (c *Ctx) sortResult(res *Result, by logical.Ordering) error {
 	}
 	defer c.Mem.Shrink(need)
 	c.noteMemBytes(need)
-	if c.fanOut(len(res.Rows)) {
-		res.Rows = c.sortRowsParallel(res.Rows, spec)
-		return nil
-	}
 	sort.SliceStable(res.Rows, func(i, j int) bool {
 		c.Counters.Comparisons++
 		return datum.CompareRows(res.Rows[i], res.Rows[j], spec) < 0
@@ -122,16 +115,6 @@ func (c *Ctx) execPlan(p physical.Plan) ([]datum.Row, error) {
 			return nil, err
 		}
 		return res.Rows, nil
-	case *physical.Sort:
-		in, err := c.runPlan(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Cols: t.Input.Columns(), Rows: in}
-		if err := c.sortResult(res, t.By); err != nil {
-			return nil, err
-		}
-		return res.Rows, nil
 	case *physical.NLJoin:
 		return c.runNLJoin(t)
 	case *physical.INLJoin:
@@ -140,15 +123,6 @@ func (c *Ctx) execPlan(p physical.Plan) ([]datum.Row, error) {
 		return c.runMergeJoin(t)
 	case *physical.StreamGroupBy:
 		return c.runStreamGroupBy(t)
-	case *physical.LimitOp:
-		in, err := c.runPlan(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(in)) > t.N {
-			in = in[:t.N]
-		}
-		return in, nil
 	case *physical.Exchange:
 		return c.runExchange(t)
 	case *physical.UnionAll:

@@ -1,14 +1,14 @@
 // Morsel-driven parallel execution (§7.1 made real): a shared worker pool and
 // the morsel loop (forMorsels) every batch operator runs on, plus the
 // parallel forms of the row operators — nested-loop and index-nested-loop
-// probes, sort, and *executed* Exchange operators (goroutine fan-out over
+// probes and *executed* Exchange operators (goroutine fan-out over
 // hash/round-robin partitions and fan-in that concatenates, or merges
 // order-preservingly when a MergeOrdering is present).
 //
 // Every worker gets a private Ctx (counters, simulated buffer) merged into the
 // parent at the barrier, so the engine is race-free under `go test -race`.
 // Parallel loops emit the same rows in the same order as a serial run:
-// per-morsel outputs concatenate in morsel order, and sorts/merging exchanges
+// per-morsel outputs concatenate in morsel order, and merging exchanges
 // reproduce the stable serial order exactly.
 package exec
 
@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -507,75 +506,32 @@ func (c *Ctx) runINLJoinParallel(t *physical.INLJoin, left []datum.Row, tab *sto
 	return concatMorsels(outs), nil
 }
 
-// --- parallel sort ---
+// --- order-preserving merge ---
 
-// sortRowsParallel sorts rows by spec with contiguous chunk sorts on workers
-// followed by a k-way merge. Ties break on the original row position, so the
-// result is exactly the serial stable sort.
-func (c *Ctx) sortRowsParallel(rows []datum.Row, spec []datum.SortSpec) []datum.Row {
-	nW := c.workers()
-	chunk := (len(rows) + nW - 1) / nW
-	runs := make([][]int, 0, nW)
-	for lo := 0; lo < len(rows); lo += chunk {
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		run := make([]int, hi-lo)
-		for i := range run {
-			run[i] = lo + i
-		}
-		runs = append(runs, run)
-	}
-	// Chunk sorts: index sorts with the original position as tiebreaker make
-	// each run a contiguous slice of the stable global order.
-	_ = c.runWorkers(len(runs), func(w int, wc *Ctx) error {
-		run := runs[w]
-		sort.Slice(run, func(a, b int) bool {
-			wc.Counters.Comparisons++
-			cmp := datum.CompareRows(rows[run[a]], rows[run[b]], spec)
-			if cmp != 0 {
-				return cmp < 0
-			}
-			return run[a] < run[b]
-		})
-		return nil
-	})
-	return mergeRuns(rows, runs, spec, &c.Counters)
-}
-
-// mergeRuns k-way merges index runs that are each sorted by (spec, index),
-// breaking key ties on the original index — an order-preserving fan-in.
-func mergeRuns(rows []datum.Row, runs [][]int, spec []datum.SortSpec, counters *Counters) []datum.Row {
+// mergeRuns k-way merges runs of indices, each sorted under cmp, with a
+// linear tournament over the run heads, stopping after limit indices when
+// limit >= 0. Under a (key, index) order it is an order-preserving fan-in.
+func mergeRuns[T int | int32](runs [][]T, limit int, cmp func(a, b T) int) []T {
 	total := 0
 	for _, r := range runs {
 		total += len(r)
 	}
-	out := make([]datum.Row, 0, total)
+	if limit >= 0 {
+		total = min(total, limit)
+	}
+	out := make([]T, 0, total)
 	heads := make([]int, len(runs))
-	for {
+	for len(out) < total {
 		best := -1
-		for r := range runs {
-			if heads[r] >= len(runs[r]) {
-				continue
-			}
-			if best < 0 {
-				best = r
-				continue
-			}
-			counters.Comparisons++
-			ri, bi := runs[r][heads[r]], runs[best][heads[best]]
-			cmp := datum.CompareRows(rows[ri], rows[bi], spec)
-			if cmp < 0 || (cmp == 0 && ri < bi) {
+		for r, run := range runs {
+			if heads[r] < len(run) && (best < 0 || cmp(run[heads[r]], runs[best][heads[best]]) < 0) {
 				best = r
 			}
 		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, rows[runs[best][heads[best]]])
+		out = append(out, runs[best][heads[best]])
 		heads[best]++
 	}
+	return out
 }
 
 // --- executed Exchange ---
@@ -680,7 +636,18 @@ func (c *Ctx) runExchange(t *physical.Exchange) ([]datum.Row, error) {
 			}
 			spec[i] = datum.SortSpec{Col: off, Desc: o.Desc}
 		}
-		return mergeRuns(in, streams, spec, &c.Counters), nil
+		ids := mergeRuns(streams, -1, func(a, b int) int {
+			c.Counters.Comparisons++
+			if r := datum.CompareRows(in[a], in[b], spec); r != 0 {
+				return r
+			}
+			return a - b
+		})
+		out := make([]datum.Row, len(ids))
+		for k, i := range ids {
+			out[k] = in[i]
+		}
+		return out, nil
 	}
 	out := make([]datum.Row, 0, len(in))
 	for _, ids := range streams {

@@ -1,6 +1,6 @@
-// The batch operators — table and index scans, filter, projection, hash join
-// and hash aggregation — are the engine's only implementation of these six
-// operators. They produce and consume columnar batches (batch.go): predicates,
+// The batch operators — table and index scans, filter, projection, hash join,
+// hash aggregation (this file), sort and limit (sort.go) — are the engine's
+// only implementation of these eight operators. They produce and consume columnar batches (batch.go): predicates,
 // keys and aggregates with a typed kernel (kernels.go) run over column
 // vectors, and everything else (IN lists, LIKE, OR, arithmetic, CASE,
 // subqueries, UDFs) is evaluated row by row over the live selection with
@@ -41,6 +41,10 @@ func (c *Ctx) execBatch(p physical.Plan) (b *Batch, ok bool, err error) {
 		b, err = c.vecHashJoin(t)
 	case *physical.HashGroupBy:
 		b, err = c.vecGroupBy(t)
+	case *physical.Sort:
+		b, err = c.vecSort(t)
+	case *physical.LimitOp:
+		b, err = c.vecLimit(t)
 	default:
 		return nil, false, nil
 	}

@@ -129,7 +129,7 @@ func (r *FeedbackRing) RecordPlan(p Plan, md *logical.Metadata, rm *RunMetrics, 
 	walk = func(n Plan) {
 		if m := rm.Lookup(n); m != nil && m.Invocations > 0 {
 			est, _ := n.Estimate()
-			r.RecordStmt(stmt, Describe(n, md), est, float64(m.ActualRows))
+			r.RecordStmt(stmt, Describe(n, md), m.ExpectedRows(est), float64(m.ActualRows))
 		}
 		for _, c := range Children(n) {
 			walk(c)

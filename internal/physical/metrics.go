@@ -27,6 +27,11 @@ type NodeMetrics struct {
 	// Vectorized reports that the node ran on the columnar batch path
 	// (typed kernels over column vectors) rather than row at a time.
 	Vectorized bool
+	// TopN marks a node that a LIMIT above it stopped after TopNRows rows —
+	// a bounded sort and the order-preserving exchange over it. Its expected
+	// output is then at most TopNRows (see ExpectedRows).
+	TopN     bool
+	TopNRows int64
 	// WallNanos is inclusive wall-clock time: the node plus its inputs.
 	WallNanos int64
 	// PeakMemRows is the peak number of buffered rows the node held at once
@@ -58,6 +63,16 @@ type NodeMetrics struct {
 	BlocksDict  int64
 	BlocksRLE   int64
 	BlocksPlain int64
+}
+
+// ExpectedRows is the output the node was asked for: the optimizer's
+// estimate, capped by the LIMIT that stopped a TopN node. Q-error compares
+// actual rows against it, so a top-N is not mistaken for a misestimate.
+func (m *NodeMetrics) ExpectedRows(est float64) float64 {
+	if m.TopN && float64(m.TopNRows) < est {
+		return float64(m.TopNRows)
+	}
+	return est
 }
 
 // NoteMem records a buffered-rows observation, keeping the peak.
@@ -166,7 +181,7 @@ func formatAnalyzeNode(sb *strings.Builder, p Plan, md *logical.Metadata, rm *Ru
 			self = 0
 		}
 		fmt.Fprintf(sb, "  (actual_rows=%d q_err=%.2f time=%.3fms",
-			m.ActualRows, QError(rows, float64(m.ActualRows)), float64(self)/1e6)
+			m.ActualRows, QError(m.ExpectedRows(rows), float64(m.ActualRows)), float64(self)/1e6)
 		if m.Invocations > 1 {
 			fmt.Fprintf(sb, " loops=%d", m.Invocations)
 		}
@@ -175,6 +190,9 @@ func formatAnalyzeNode(sb *strings.Builder, p Plan, md *logical.Metadata, rm *Ru
 		}
 		if m.Vectorized {
 			sb.WriteString(" vectorized=true")
+		}
+		if m.TopN {
+			fmt.Fprintf(sb, " top_n=%d", m.TopNRows)
 		}
 		if m.PeakMemRows > 0 {
 			fmt.Fprintf(sb, " mem_rows=%d", m.PeakMemRows)

@@ -2,13 +2,13 @@ package queryopt
 
 // vectorized_equivalence_test.go checks the batch operators, which are the
 // engine's only implementation of table and index scans, filters,
-// projections, hash joins and hash aggregation. For the random query corpus
+// projections, hash joins, hash aggregation, sort and limit. For the random query corpus
 // and for a table of hand-written shapes the corpus never emits (predicates,
 // select items and aggregate arguments without a typed kernel, DISTINCT
 // aggregates, join residuals, FULL OUTER), answers must equal the naive
 // reference evaluator's, with floats compared in exact hexadecimal form, at
-// parallelism 1, 4 and 8. Every executed node of those six kinds must report
-// that it ran on the batch path.
+// parallelism 1, 4 and 8. Every executed node of those eight kinds must
+// report that it ran on the batch path.
 
 import (
 	"math/rand"
@@ -16,10 +16,10 @@ import (
 	"testing"
 )
 
-// isBatchOp reports whether an EXPLAIN operator line names one of the six
+// isBatchOp reports whether an EXPLAIN operator line names one of the eight
 // batch operators (hash-* covers every hash join kind and hash-group-by).
 func isBatchOp(op string) bool {
-	for _, p := range []string{"table-scan", "index-scan", "filter", "project", "hash-"} {
+	for _, p := range []string{"table-scan", "index-scan", "filter", "project", "hash-", "sort ", "limit "} {
 		if strings.HasPrefix(op, p) {
 			return true
 		}
@@ -63,7 +63,8 @@ func midRandSchema(t *testing.T, opts Options, seed int64) *Engine {
 // TestVectorizedQueryEquivalence: over the random corpus, engines at
 // parallelism 1, 4 and 8 agree with the reference evaluator on the multiset
 // of rows (and on row order whenever the query has an ORDER BY), and every
-// scan, filter, projection, hash join and hash aggregation runs batched.
+// scan, filter, projection, hash join, hash aggregation, sort and limit runs
+// batched.
 func TestVectorizedQueryEquivalence(t *testing.T) {
 	const trials = 25
 	degrees := []int{1, 4, 8}
