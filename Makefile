@@ -85,14 +85,16 @@ crash-check:
 # still report identical results), a reduced E27 storage sweep under the race
 # detector (disk reads must be bit-identical to memory), a reduced E29
 # compression sweep under the race detector (encoded blocks must decode to
-# bit-identical results), and the executor suite under -race. CI runs this on every push; it finishes in well under a
-# minute.
+# bit-identical results), the executor suite under -race, and one iteration of
+# the hash-table benchmarks so they keep building and running. CI runs this on
+# every push; it finishes in well under a minute.
 bench-smoke:
 	GOMAXPROCS=4 go run -race ./cmd/benchharness serving 1000 8
 	GOMAXPROCS=4 go run -race ./cmd/benchharness adaptive 40 2000
 	GOMAXPROCS=4 go run -race ./cmd/benchharness storage 30000
 	GOMAXPROCS=4 go run -race ./cmd/benchharness compression 30000
 	go test -race -count=1 ./internal/exec/...
+	go test -run NONE -bench 'HashAggGroups|HashJoinProbe' -benchtime=1x ./internal/exec
 
 # Fault-injection, cancellation, spill and goroutine-leak suites under the
 # race detector at a fixed GOMAXPROCS, so worker interleavings are exercised

@@ -254,14 +254,30 @@ func (d D) HashInto(h *maphash.Hash) {
 		h.WriteByte(byte(d.i))
 	case KindInt:
 		h.WriteByte(2)
-		writeUint64(h, math.Float64bits(float64(d.i)))
+		writeUint64(h, FloatKeyBits(float64(d.i)))
 	case KindFloat:
 		h.WriteByte(2)
-		writeUint64(h, math.Float64bits(d.f))
+		writeUint64(h, FloatKeyBits(d.f))
 	case KindString:
 		h.WriteByte(3)
 		h.WriteString(d.s)
 	}
+}
+
+// canonicalNaN is the bit pattern every NaN hashes as.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// FloatKeyBits returns the bit pattern a numeric key hashes as. Values that
+// Compare equal must hash equal, so -0 hashes as +0 and every NaN payload as
+// one NaN; integers hash as their float value (1 and 1.0 are one key).
+func FloatKeyBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return canonicalNaN
+	}
+	return math.Float64bits(f)
 }
 
 func writeUint64(h *maphash.Hash, v uint64) {
@@ -278,6 +294,22 @@ func (d D) Hash() uint64 {
 	h.SetSeed(hashSeed)
 	d.HashInto(&h)
 	return h.Sum64()
+}
+
+// Value returns the datum as a native Go value: nil, bool, int64, float64
+// or string.
+func (d D) Value() any {
+	switch d.k {
+	case KindBool:
+		return d.i != 0
+	case KindInt:
+		return d.i
+	case KindFloat:
+		return d.f
+	case KindString:
+		return d.s
+	}
+	return nil
 }
 
 // Size returns the modeled width of the datum in bytes, used by the cost

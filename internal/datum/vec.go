@@ -113,11 +113,6 @@ func NewVec(k Kind, capacity int) *Vec {
 	return v
 }
 
-// NewAnyVec returns an empty boxed-representation vector.
-func NewAnyVec(capacity int) *Vec {
-	return &Vec{anyKind: true, Ds: make([]D, 0, capacity)}
-}
-
 // NewTypedVec assembles a typed vector directly from its parts — the decode
 // path of the columnar segment format, which reads whole payload slices and
 // must not pay a per-value append. Exactly one payload slice matching k must
@@ -349,6 +344,89 @@ func (v *Vec) D(i int) D {
 		return D{k: KindString, s: v.Strs[i]}
 	}
 	return Null
+}
+
+// Value returns row i as a native Go value (nil, bool, int64, float64 or
+// string) — D(i).Value() without building the datum.
+func (v *Vec) Value(i int) any {
+	if v.anyKind {
+		return v.Ds[i].Value()
+	}
+	if v.kind == KindNull || (v.numNulls > 0 && v.nulls.Get(i)) {
+		return nil
+	}
+	if v.Dict != nil {
+		return v.Dict.Vals[v.Ints[i]]
+	}
+	switch v.kind {
+	case KindInt:
+		return v.Ints[i]
+	case KindBool:
+		return v.Ints[i] != 0
+	case KindFloat:
+		return v.Floats[i]
+	case KindString:
+		return v.Strs[i]
+	}
+	return nil
+}
+
+// Gather returns a new vector holding v's rows idx in order; a negative index
+// yields NULL (the outer-join padding). The result keeps v's representation:
+// the same kind, the same dictionary for encoded strings, boxed for boxed.
+func (v *Vec) Gather(idx []int32) *Vec {
+	n := len(idx)
+	if v.anyKind {
+		ds := make([]D, n)
+		for k, i := range idx {
+			if i >= 0 {
+				ds[k] = v.Ds[i]
+			}
+		}
+		return NewBoxedVec(ds)
+	}
+	var nulls Bitmap
+	numNulls := 0
+	if v.kind == KindNull || v.numNulls > 0 || hasNegative(idx) {
+		nulls = NewBitmap(n)
+		for k, i := range idx {
+			if i < 0 || v.kind == KindNull || (v.numNulls > 0 && v.nulls.Get(int(i))) {
+				nulls[k>>6] |= 1 << (uint(k) & 63)
+				numNulls++
+			}
+		}
+	}
+	out := &Vec{kind: v.kind, n: n, Dict: v.Dict, nulls: nulls, numNulls: numNulls}
+	switch {
+	case v.Dict != nil, v.kind == KindInt, v.kind == KindBool:
+		out.Ints = gatherSlice(v.Ints, idx)
+	case v.kind == KindFloat:
+		out.Floats = gatherSlice(v.Floats, idx)
+	case v.kind == KindString:
+		out.Strs = gatherSlice(v.Strs, idx)
+	}
+	return out
+}
+
+func hasNegative(idx []int32) bool {
+	for _, i := range idx {
+		if i < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// gatherSlice returns src[idx[k]] for each k, the zero value where idx[k] is
+// negative.
+func gatherSlice[T any](src []T, idx []int32) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		if i >= 0 {
+			out[k] = src[i]
+		}
+	}
+	return out
 }
 
 // canAdoptDict reports whether v may take on src's dictionary: v must be an

@@ -22,16 +22,87 @@ func Run(p physical.Plan, c *Ctx) (*Result, error) {
 
 // RunPlanQuery executes a physical plan for a query: run, order, project.
 func RunPlanQuery(p physical.Plan, q *logical.Query, c *Ctx) (*Result, error) {
-	res, err := Run(p, c)
+	rows, err := runQuery[datum.Row](p, q, c, (*datum.Vec).D, func(d datum.D) datum.D { return d })
 	if err != nil {
 		return nil, err
 	}
+	return &Result{Cols: q.ResultCols, Rows: rows}, nil
+}
+
+// RunPlanQueryValues is RunPlanQuery with the rows as native Go values (nil,
+// bool, int64, float64, string) — the engine's result form, converted once
+// from the root's output.
+func RunPlanQueryValues(p physical.Plan, q *logical.Query, c *Ctx) ([][]any, error) {
+	return runQuery[[]any](p, q, c, (*datum.Vec).Value, datum.D.Value)
+}
+
+// runQuery runs the plan's root and converts its output to the query's
+// result rows in one pass: the result columns of a batch root are read
+// straight from its vectors (vecCell), a row operator's rows are projected
+// and converted together (cell). A plan whose ordering does not satisfy the
+// query's ORDER BY is sorted as rows first.
+func runQuery[R ~[]T, T any](p physical.Plan, q *logical.Query, c *Ctx, vecCell func(*datum.Vec, int) T, cell func(datum.D) T) ([]R, error) {
+	b, rows, err := c.runNode(p)
+	if err != nil {
+		return nil, err
+	}
+	layout := p.Columns()
+	offsets := make([]int, len(q.ResultCols))
+	for i, id := range q.ResultCols {
+		if offsets[i] = (&Result{Cols: layout}).ColIndex(id); offsets[i] < 0 {
+			return nil, fmt.Errorf("exec: result column @%d missing from plan output", int(id))
+		}
+	}
 	if len(q.OrderBy) > 0 && !q.OrderBy.SatisfiedBy(p.Ordering()) {
+		if b != nil {
+			rows, b = b.ToRows(), nil
+		}
+		res := &Result{Cols: layout, Rows: rows}
 		if err := c.sortResult(res, q.OrderBy); err != nil {
 			return nil, err
 		}
+		rows = res.Rows
 	}
-	return presentation(res, q)
+	w := len(offsets)
+	if b == nil {
+		out, cells := makeRows[R](len(rows), w)
+		for r, row := range rows {
+			for k, off := range offsets {
+				cells[r*w+k] = cell(row[off])
+			}
+		}
+		return out, nil
+	}
+	n := b.NumRows()
+	out, cells := makeRows[R](n, w)
+	for k, off := range offsets {
+		v := b.Vecs[off]
+		if b.Sel == nil {
+			for i := 0; i < n; i++ {
+				cells[i*w+k] = vecCell(v, i)
+			}
+			continue
+		}
+		for r, i := range b.Sel {
+			cells[r*w+k] = vecCell(v, int(i))
+		}
+	}
+	return out, nil
+}
+
+// makeRows returns n rows of width w over one backing slice, which it also
+// returns. Each row is capped at its width, so appending to one cannot
+// overwrite the next. No rows is a nil slice.
+func makeRows[R ~[]T, T any](n, w int) ([]R, []T) {
+	if n == 0 {
+		return nil, nil
+	}
+	cells := make([]T, n*w)
+	out := make([]R, n)
+	for r := range out {
+		out[r] = cells[r*w : (r+1)*w : (r+1)*w]
+	}
+	return out, cells
 }
 
 // sortResult stably sorts materialized rows in place by the ordering over
@@ -88,19 +159,31 @@ func (c *Ctx) metered(p physical.Plan, fn func() (int, error)) error {
 	return err
 }
 
+// runNode runs one operator under the meter: a batch operator yields its
+// batch, a row operator its rows.
+func (c *Ctx) runNode(p physical.Plan) (b *Batch, rows []datum.Row, err error) {
+	err = c.metered(p, func() (int, error) {
+		var ok bool
+		var err error
+		if b, ok, err = c.execBatch(p); !ok {
+			rows, err = c.execPlan(p)
+			return len(rows), err
+		}
+		if err != nil {
+			return 0, err
+		}
+		return b.NumRows(), nil
+	})
+	return b, rows, err
+}
+
 // runPlan runs one operator for a row consumer: batch operators are
 // materialized into rows at this boundary.
 func (c *Ctx) runPlan(p physical.Plan) ([]datum.Row, error) {
-	var rows []datum.Row
-	err := c.metered(p, func() (int, error) {
-		b, ok, err := c.execBatch(p)
-		if !ok {
-			rows, err = c.execPlan(p)
-		} else if err == nil {
-			rows = b.ToRows()
-		}
-		return len(rows), err
-	})
+	b, rows, err := c.runNode(p)
+	if err == nil && b != nil {
+		rows = b.ToRows()
+	}
 	return rows, err
 }
 

@@ -9,8 +9,6 @@
 package exec
 
 import (
-	"math"
-
 	"repro/internal/datum"
 	"repro/internal/logical"
 )
@@ -482,8 +480,9 @@ func hashInit(h []uint64) {
 
 // hashCombineVec folds one key column into the per-row hashes. The encoding
 // mirrors datum.HashInto — a family tag, then INT and FLOAT both hashed as
-// the float's bit pattern — so rows that compare equal (1 and 1.0, NULL and
-// NULL) hash equal, exactly like the row engine's key hashing.
+// datum.FloatKeyBits of the float value — so rows that compare equal (1 and
+// 1.0, -0.0 and 0.0, NULL and NULL) hash equal, exactly like the row
+// engine's key hashing.
 func hashCombineVec(v *datum.Vec, sel []int32, h []uint64) {
 	if v.Boxed() || v.Kind() == datum.KindNull {
 		for k, i := range sel {
@@ -499,7 +498,7 @@ func hashCombineVec(v *datum.Vec, sel []int32, h []uint64) {
 				h[k] = fnvMix(h[k], 0)
 				continue
 			}
-			h[k] = fnvMix(fnvMix(h[k], 2), math.Float64bits(float64(v.Ints[i])))
+			h[k] = fnvMix(fnvMix(h[k], 2), datum.FloatKeyBits(float64(v.Ints[i])))
 		}
 	case datum.KindFloat:
 		for k, i := range sel {
@@ -507,7 +506,7 @@ func hashCombineVec(v *datum.Vec, sel []int32, h []uint64) {
 				h[k] = fnvMix(h[k], 0)
 				continue
 			}
-			h[k] = fnvMix(fnvMix(h[k], 2), math.Float64bits(v.Floats[i]))
+			h[k] = fnvMix(fnvMix(h[k], 2), datum.FloatKeyBits(v.Floats[i]))
 		}
 	case datum.KindString:
 		if v.Dict != nil {
@@ -565,9 +564,9 @@ func hashCombineD(h uint64, d datum.D) uint64 {
 		}
 		return fnvMix(fnvMix(h, 1), b)
 	case datum.KindInt:
-		return fnvMix(fnvMix(h, 2), math.Float64bits(float64(d.Int())))
+		return fnvMix(fnvMix(h, 2), datum.FloatKeyBits(float64(d.Int())))
 	case datum.KindFloat:
-		return fnvMix(fnvMix(h, 2), math.Float64bits(d.Float()))
+		return fnvMix(fnvMix(h, 2), datum.FloatKeyBits(d.Float()))
 	case datum.KindString:
 		x := fnvMix(h, 3)
 		s := d.Str()
@@ -641,6 +640,25 @@ func newVecAccumulator(item logical.AggItem, arg *datum.Vec) vecAccumulator {
 	return &boxedVecAcc{item: item}
 }
 
+// growLen extends s to length n with zero values. Capacity at least doubles
+// when it must grow, so per-group state costs amortized O(1) copies and
+// leaves garbage of at most its final size (append grows large slices by
+// only a quarter).
+func growLen[T any](s []T, n int) []T {
+	have := len(s)
+	if n <= have {
+		return s
+	}
+	if n > cap(s) {
+		t := make([]T, have, max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	s = s[:n]
+	clear(s[have:])
+	return s
+}
+
 // countVecAcc implements COUNT(*) and COUNT(col).
 type countVecAcc struct {
 	star bool
@@ -648,9 +666,7 @@ type countVecAcc struct {
 }
 
 func (a *countVecAcc) ensure(n int) {
-	for len(a.n) < n {
-		a.n = append(a.n, 0)
-	}
+	a.n = growLen(a.n, n)
 }
 
 func (a *countVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -677,10 +693,7 @@ type sumIntVecAcc struct {
 }
 
 func (a *sumIntVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.sums = append(a.sums, 0)
-	}
+	a.any, a.sums = growLen(a.any, n), growLen(a.sums, n)
 }
 
 func (a *sumIntVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -711,10 +724,7 @@ type sumFloatVecAcc struct {
 }
 
 func (a *sumFloatVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.sums = append(a.sums, compSum{})
-	}
+	a.any, a.sums = growLen(a.any, n), growLen(a.sums, n)
 }
 
 func (a *sumFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -747,10 +757,7 @@ type avgVecAcc struct {
 }
 
 func (a *avgVecAcc) ensure(n int) {
-	for len(a.n) < n {
-		a.n = append(a.n, 0)
-		a.sums = append(a.sums, compSum{})
-	}
+	a.n, a.sums = growLen(a.n, n), growLen(a.sums, n)
 }
 
 func (a *avgVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -792,10 +799,7 @@ type minmaxIntVecAcc struct {
 }
 
 func (a *minmaxIntVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.vals = append(a.vals, 0)
-	}
+	a.any, a.vals = growLen(a.any, n), growLen(a.vals, n)
 }
 
 func (a *minmaxIntVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -835,10 +839,7 @@ type minmaxFloatVecAcc struct {
 }
 
 func (a *minmaxFloatVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.vals = append(a.vals, 0)
-	}
+	a.any, a.vals = growLen(a.any, n), growLen(a.vals, n)
 }
 
 func (a *minmaxFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -874,10 +875,7 @@ type minmaxStrVecAcc struct {
 }
 
 func (a *minmaxStrVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.vals = append(a.vals, "")
-	}
+	a.any, a.vals = growLen(a.any, n), growLen(a.vals, n)
 }
 
 func (a *minmaxStrVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {

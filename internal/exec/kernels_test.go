@@ -26,11 +26,7 @@ func mkVec(ds ...datum.D) *datum.Vec {
 
 // mkBoxed forces the boxed representation.
 func mkBoxed(ds ...datum.D) *datum.Vec {
-	v := datum.NewAnyVec(len(ds))
-	for _, d := range ds {
-		v.AppendD(d)
-	}
-	return v
+	return datum.NewBoxedVec(append([]datum.D(nil), ds...))
 }
 
 // nullPattern applies a NULL pattern to a dense value list: "dense" keeps all
@@ -394,5 +390,69 @@ func BenchmarkVectorizedAgg(b *testing.B) {
 		acc := newVecAccumulator(item, v)
 		acc.ensure(nGroups)
 		acc.accumulate(v, sel, gids)
+	}
+}
+
+// BenchmarkHashAggGroups assigns 65536 rows to 4096 groups through the
+// aggregation's hash table, hashing included.
+func BenchmarkHashAggGroups(b *testing.B) {
+	const n, nGroups = 65536, 4096
+	v := datum.NewVec(datum.KindInt, n)
+	for i := 0; i < n; i++ {
+		v.AppendD(datum.NewInt(int64(i*7919) % nGroups))
+	}
+	in := &Batch{Vecs: []*datum.Vec{v}, n: n}
+	off := []int{0}
+	sel := identSel(n)
+	hs := make([]uint64, MorselSize)
+	c := NewCtx(nil, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := &aggPart{ht: newHashTable(nGroups), eq: newKeyEq(in.Vecs, off, in.Vecs, off), keyOff: off, gids: make([]int32, MorselSize)}
+		for lo := 0; lo < n; lo += MorselSize {
+			chunk := sel[lo : lo+MorselSize]
+			hashKeys(in.Vecs, off, chunk, hs)
+			if err := g.add(c, in, nil, chunk, hs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if g.groups() != nGroups {
+			b.Fatalf("%d groups, want %d", g.groups(), nGroups)
+		}
+	}
+}
+
+// BenchmarkHashJoinProbe probes a 4096-row build side holding 1024 keys
+// with 65536 rows, each matching four build rows, hashing included.
+func BenchmarkHashJoinProbe(b *testing.B) {
+	const n, nBuild = 65536, 4096
+	build := &Batch{Vecs: []*datum.Vec{benchIntVec(nBuild)}, n: nBuild}
+	probe := datum.NewVec(datum.KindInt, n)
+	for i := 0; i < n; i++ {
+		probe.AppendD(datum.NewInt(int64(i*7919) % 1024))
+	}
+	off := []int{0}
+	c := NewCtx(nil, nil)
+	bh := make([]uint64, nBuild)
+	hashKeys(build.Vecs, off, identSel(nBuild), bh)
+	j := c.buildJoinTable(build, off, identSel(nBuild), bh)
+	eq := newKeyEq([]*datum.Vec{probe}, off, build.Vecs, off)
+	sel := identSel(n)
+	hs := make([]uint64, MorselSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matches := 0
+		for lo := 0; lo < n; lo += MorselSize {
+			chunk := sel[lo : lo+MorselSize]
+			hashKeys([]*datum.Vec{probe}, off, chunk, hs)
+			for k, li := range chunk {
+				for ri := j.first(hs[k], eq, li); ri >= 0; ri = j.next[ri] {
+					matches++
+				}
+			}
+		}
+		if matches != 4*n {
+			b.Fatalf("%d matches, want %d", matches, 4*n)
+		}
 	}
 }

@@ -329,6 +329,14 @@ func newMorselOut[T any](c *Ctx, n int) *morselOut[T] {
 	return o
 }
 
+// reserve presizes the inline output for n items; a fanned-out loop's
+// per-morsel slices grow as they fill.
+func (o *morselOut[T]) reserve(n int) {
+	if o.per == nil {
+		o.all = make([]T, 0, n)
+	}
+}
+
 // dst returns the slice morsel m appends to.
 func (o *morselOut[T]) dst(m int) *[]T {
 	if o.per == nil {

@@ -120,7 +120,7 @@ func (c *Ctx) vecSort(t *physical.Sort) (*Batch, error) {
 	}
 	vecs := make([]*datum.Vec, len(in.Vecs))
 	for i, v := range in.Vecs {
-		vecs[i] = gatherVec(v, perm)
+		vecs[i] = v.Gather(perm)
 	}
 	return &Batch{Cols: in.Cols, Vecs: vecs, n: len(perm)}, nil
 }
@@ -217,6 +217,10 @@ func (c *Ctx) sortRun(vecs []*datum.Vec, spec []datum.SortSpec, sel []int32, lim
 // the query is canceled it reports every pair equal, so a sort in flight
 // drains in linear time and its caller returns the context's error.
 func (c *Ctx) rowCmp(vecs []*datum.Vec, spec []datum.SortSpec) func(a, b int32) int {
+	keys := make([]func(a, b int32) int, len(spec))
+	for i, s := range spec {
+		keys[i] = colCmp(vecs[s.Col])
+	}
 	stopped := false
 	return func(a, b int32) int {
 		c.Counters.Comparisons++
@@ -226,9 +230,8 @@ func (c *Ctx) rowCmp(vecs []*datum.Vec, spec []datum.SortSpec) func(a, b int32) 
 		if stopped {
 			return 0
 		}
-		for _, s := range spec {
-			v := vecs[s.Col]
-			if r := datum.Compare(v.D(int(a)), v.D(int(b))); r != 0 {
+		for i, s := range spec {
+			if r := keys[i](a, b); r != 0 {
 				if s.Desc {
 					return -r
 				}
@@ -237,6 +240,54 @@ func (c *Ctx) rowCmp(vecs []*datum.Vec, spec []datum.SortSpec) func(a, b int32) 
 		}
 		return int(a) - int(b)
 	}
+}
+
+// colCmp compares rows a and b of v in datum.Compare's order (NULL first),
+// on the typed payload where there is one: dictionary codes order like the
+// strings they stand for, because dictionaries are sorted.
+func colCmp(v *datum.Vec) func(a, b int32) int {
+	var typed func(a, b int32) int
+	switch {
+	case v.Boxed() || v.Kind() == datum.KindNull:
+		return func(a, b int32) int { return datum.Compare(v.D(int(a)), v.D(int(b))) }
+	case v.Dict != nil, v.Kind() == datum.KindInt, v.Kind() == datum.KindBool:
+		ints := v.Ints
+		typed = func(a, b int32) int { return cmpOrd(ints[a], ints[b]) }
+	case v.Kind() == datum.KindFloat:
+		floats := v.Floats
+		typed = func(a, b int32) int { return cmpOrd(floats[a], floats[b]) }
+	default:
+		strs := v.Strs
+		typed = func(a, b int32) int { return cmpOrd(strs[a], strs[b]) }
+	}
+	nulls := v.Nulls()
+	if nulls == nil {
+		return typed
+	}
+	return func(a, b int32) int {
+		an, bn := nulls.Get(int(a)), nulls.Get(int(b))
+		switch {
+		case an && bn:
+			return 0
+		case an:
+			return -1
+		case bn:
+			return 1
+		}
+		return typed(a, b)
+	}
+}
+
+// cmpOrd is a three-way compare through < and > only, so floats compare as
+// datum.Compare does (NaN neither below nor above anything).
+func cmpOrd[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // heapUp and heapDown restore the max-heap order of h (largest row first

@@ -407,207 +407,293 @@ func (c *Ctx) externalSortRows(rows []datum.Row, spec []datum.SortSpec) ([]datum
 
 // --- grace hash join ---
 
+// maxRepartitionDepth bounds how many times a build partition that is still
+// over its working set is split again.
+const maxRepartitionDepth = 4
+
 // graceHashJoin executes a hash join whose build side does not fit the
 // budget: build rows are hash-partitioned to temp files, then each partition
-// is loaded, built and probed on its own, and the per-partition outputs are
-// merged back into the exact serial emission order using the original left
-// row indexes (all matches of one probe row live in one partition, because
-// equal keys hash equally).
+// is loaded, built and probed on its own. A partition still too large to
+// load is split again by a salted hash; only a partition whose rows all share
+// one key — which no hash can split — fails, with the typed budget error.
+// Each probe row's emissions are kept by its left index and concatenated in
+// that order, which is exactly the in-memory join's emission order (all
+// matches of one probe row live in one partition, because equal keys hash
+// equally).
 func (c *Ctx) graceHashJoin(t *physical.HashJoin, left, right []datum.Row, lOff, rOff []int) ([]datum.Row, error) {
 	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()
-	combined := append(append([]logical.ColumnID{}, leftLayout...), rightLayout...)
-	leftWidth, rightWidth := len(leftLayout), len(rightLayout)
+	g := &graceJoin{
+		c: c, t: t, left: left, lOff: lOff, rOff: rOff,
+		rightWidth: len(rightLayout),
+		lHash:      make([]uint64, len(left)),
+		e:          newEnv(append(append([]logical.ColumnID{}, leftLayout...), rightLayout...), nil),
+		emitted:    make([][]datum.Row, len(left)),
+	}
 	needMatched := t.Kind == logical.FullOuterJoin
 
-	nParts := spillFanout(rowSetBytes(right), c.Mem.Available())
-
-	// Partition the build side to disk. NULL build keys never match; they go
-	// straight to the full-outer leftovers.
-	writers := make([]*spillWriter, nParts)
-	defer func() { discardAll(writers) }()
-	for p := range writers {
-		w, err := c.newSpillWriter()
-		if err != nil {
+	// NULL build keys never match; they go straight to the full-outer
+	// leftovers. NULL probe keys are handled in the merge below.
+	ri := 0
+	next := func() (int64, datum.Row, bool, error) {
+		for ; ri < len(right); ri++ {
+			if rr := right[ri]; !hasNullAt(rr, rOff) {
+				ri++
+				return int64(ri - 1), rr, true, nil
+			} else if needMatched {
+				g.leftovers = append(g.leftovers, taggedRow{int64(ri), rr})
+			}
+		}
+		return 0, nil, false, nil
+	}
+	var probe []int32
+	for li, lr := range left {
+		if !hasNullAt(lr, lOff) {
+			g.lHash[li] = lr.Hash(lOff)
+			probe = append(probe, int32(li))
+		}
+	}
+	parts, err := g.partition(next, probe, spillFanout(rowSetBytes(right), c.Mem.Available()), 0)
+	defer parts.discard()
+	if err != nil {
+		return nil, err
+	}
+	for p := range parts.files {
+		if err := g.joinPartition(parts, p, 0); err != nil {
 			return nil, err
 		}
-		writers[p] = w
 	}
-	type tagged struct {
-		tag int64
-		row datum.Row
-	}
-	var leftovers []tagged // unmatched right rows for FULL OUTER, by tag
-	for i, rr := range right {
-		if hasNullAt(rr, rOff) {
-			if needMatched {
-				leftovers = append(leftovers, tagged{int64(i), rr})
-			}
+
+	// Merge: left rows in ascending index, each contributing its emissions;
+	// NULL-key left rows are handled inline exactly as the in-memory join
+	// would.
+	var out []datum.Row
+	for li, lr := range left {
+		if !hasNullAt(lr, lOff) {
+			out = append(out, g.emitted[li]...)
 			continue
 		}
-		c.Counters.HashOps++
-		p := int(rr.Hash(rOff) % uint64(nParts))
-		if err := writers[p].writeRow(int64(i), rr); err != nil {
-			return nil, err
-		}
-	}
-	for _, w := range writers {
-		if err := w.finish(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Assign each probe row to its partition (-1 for NULL keys, handled
-	// directly in the merge).
-	leftPart := make([]int32, len(left))
-	for i, lr := range left {
-		if hasNullAt(lr, lOff) {
-			leftPart[i] = -1
-			continue
-		}
-		leftPart[i] = int32(lr.Hash(lOff) % uint64(nParts))
-	}
-
-	// Build and probe one partition at a time. outs[p] holds that
-	// partition's emissions keyed by ascending left index (or, for rows a
-	// full outer join emits from the build side, recorded into leftovers).
-	type emission struct {
-		li   int64
-		rows []datum.Row
-	}
-	outs := make([][]emission, nParts)
-	e := newEnv(combined, nil)
-	var outTotal int
-	for p := 0; p < nParts; p++ {
-		if err := c.canceled(); err != nil {
-			return nil, err
-		}
-		sr, err := writers[p].reader()
-		if err != nil {
-			return nil, err
-		}
-		var tags []int64
-		var rows []datum.Row
-		var partBytes int64
-		for {
-			tag, row, ok, err := sr.next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			tags = append(tags, tag)
-			rows = append(rows, row)
-			partBytes += int64(row.Size()) + entryOverhead
-		}
-		if err := c.Mem.GrowFloor("hash join build partition", partBytes, 0, spillFloor); err != nil {
-			return nil, err
-		}
-		c.noteMemBytes(partBytes)
-		build := make(map[uint64][]int, len(rows))
-		for i, rr := range rows {
-			c.Counters.HashOps++
-			h := rr.Hash(rOff)
-			build[h] = append(build[h], i)
-		}
-		matched := make([]bool, len(rows))
-		var out []emission
-		for li, lr := range left {
-			if int(leftPart[li]) != p {
-				continue
-			}
-			if li%MorselSize == 0 {
-				if err := c.canceled(); err != nil {
-					c.Mem.Shrink(partBytes)
-					return nil, err
-				}
-			}
-			c.Counters.HashOps++
-			h := lr.Hash(lOff)
-			var emitted []datum.Row
-			lrMatched := false
-			for _, ri := range build[h] {
-				rr := rows[ri]
-				if !datum.EqualOn(lr, rr, lOff, rOff) {
-					continue
-				}
-				c.Counters.RowsProcessed++
-				e.row = lr.Concat(rr)
-				ok, err := c.filterRow(t.ExtraOn, e)
-				if err != nil {
-					c.Mem.Shrink(partBytes)
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				lrMatched = true
-				matched[ri] = true
-				switch t.Kind {
-				case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-					emitted = append(emitted, lr.Concat(rr))
-				case logical.SemiJoin:
-					emitted = append(emitted, lr)
-				}
-				if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-					break
-				}
-			}
-			switch t.Kind {
-			case logical.LeftOuterJoin, logical.FullOuterJoin:
-				if !lrMatched {
-					emitted = append(emitted, lr.Concat(nullRow(rightWidth)))
-				}
-			case logical.AntiJoin:
-				if !lrMatched {
-					emitted = append(emitted, lr)
-				}
-			}
-			if len(emitted) > 0 {
-				out = append(out, emission{li: int64(li), rows: emitted})
-				outTotal += len(emitted)
-			}
-		}
-		if needMatched {
-			for ri := range rows {
-				if !matched[ri] {
-					leftovers = append(leftovers, tagged{tags[ri], rows[ri]})
-				}
-			}
-		}
-		outs[p] = out
-		c.Mem.Shrink(partBytes)
-	}
-
-	// Merge partition outputs back into the serial emission order: left rows
-	// in ascending index, each contributing its partition's emissions; NULL-
-	// key left rows are handled inline exactly as the in-memory join would.
-	cursors := make([]int, nParts)
-	out := make([]datum.Row, 0, outTotal)
-	for li := range left {
-		p := leftPart[li]
-		if p < 0 {
-			switch t.Kind {
-			case logical.LeftOuterJoin, logical.FullOuterJoin:
-				out = append(out, left[li].Concat(nullRow(rightWidth)))
-			case logical.AntiJoin:
-				out = append(out, left[li])
-			}
-			continue
-		}
-		if cur := cursors[p]; cur < len(outs[p]) && outs[p][cur].li == int64(li) {
-			out = append(out, outs[p][cur].rows...)
-			cursors[p]++
+		switch t.Kind {
+		case logical.LeftOuterJoin, logical.FullOuterJoin:
+			out = append(out, lr.Concat(nullRow(g.rightWidth)))
+		case logical.AntiJoin:
+			out = append(out, lr)
 		}
 	}
 	if needMatched {
 		// The serial join appends unmatched build rows in build order.
-		sort.Slice(leftovers, func(a, b int) bool { return leftovers[a].tag < leftovers[b].tag })
-		for _, lv := range leftovers {
-			out = append(out, nullRow(leftWidth).Concat(lv.row))
+		sort.Slice(g.leftovers, func(a, b int) bool { return g.leftovers[a].tag < g.leftovers[b].tag })
+		for _, lv := range g.leftovers {
+			out = append(out, nullRow(len(leftLayout)).Concat(lv.row))
 		}
 	}
 	return out, nil
+}
+
+// graceJoin is the state of one grace hash join.
+type graceJoin struct {
+	c          *Ctx
+	t          *physical.HashJoin
+	left       []datum.Row
+	lHash      []uint64 // per left row: its key hash (rows with a NULL key are not probed)
+	lOff, rOff []int
+	rightWidth int
+	e          *env
+	emitted    [][]datum.Row // per left row: its output rows
+	leftovers  []taggedRow   // FULL OUTER: build rows no probe row matched
+}
+
+// taggedRow is a row with its index in the build input.
+type taggedRow struct {
+	tag int64
+	row datum.Row
+}
+
+// graceParts is one partitioning pass: per partition, the spilled build
+// rows, their modeled bytes, whether they all share one key, and the probe
+// rows (left indices, ascending) that hash to it.
+type graceParts struct {
+	files  []*spillWriter
+	bytes  []int64
+	single []bool
+	probe  [][]int32
+}
+
+func (ps *graceParts) discard() { discardAll(ps.files) }
+
+// partOf picks a key hash's partition. Pass 0 takes the hash modulo n; every
+// further pass mixes in its salt first, so keys that shared a partition
+// spread over the next pass's partitions.
+func partOf(h uint64, salt, n int) int {
+	if salt > 0 {
+		h += uint64(salt) * 0x9e3779b97f4a7c15
+		h ^= h >> 30
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+		h *= 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	return int(h % uint64(n))
+}
+
+// partition spills the build records next yields to n files by key hash
+// (pass salt) and splits the probe rows the same way.
+func (g *graceJoin) partition(next func() (int64, datum.Row, bool, error), probe []int32, n, salt int) (*graceParts, error) {
+	ps := &graceParts{
+		files:  make([]*spillWriter, n),
+		bytes:  make([]int64, n),
+		single: make([]bool, n),
+		probe:  make([][]int32, n),
+	}
+	for p := range ps.files {
+		w, err := g.c.newSpillWriter()
+		if err != nil {
+			return ps, err
+		}
+		ps.files[p] = w
+	}
+	firstKey := make([]datum.Row, n)
+	for {
+		tag, rr, ok, err := next()
+		if err != nil {
+			return ps, err
+		}
+		if !ok {
+			break
+		}
+		g.c.Counters.HashOps++
+		p := partOf(rr.Hash(g.rOff), salt, n)
+		if err := ps.files[p].writeRow(tag, rr); err != nil {
+			return ps, err
+		}
+		ps.bytes[p] += int64(rr.Size()) + entryOverhead
+		switch {
+		case firstKey[p] == nil:
+			firstKey[p], ps.single[p] = rr, true
+		case ps.single[p] && !datum.EqualOn(firstKey[p], rr, g.rOff, g.rOff):
+			ps.single[p] = false
+		}
+	}
+	for _, w := range ps.files {
+		if err := w.finish(); err != nil {
+			return ps, err
+		}
+	}
+	for _, li := range probe {
+		p := partOf(g.lHash[li], salt, n)
+		ps.probe[p] = append(ps.probe[p], li)
+	}
+	return ps, nil
+}
+
+// joinPartition builds partition p of ps and probes it with the partition's
+// probe rows. When the partition does not fit its working set it is split
+// again, unless all its rows share one key or the passes are exhausted —
+// then the join fails with the budget error.
+func (g *graceJoin) joinPartition(ps *graceParts, p, salt int) error {
+	c, t := g.c, g.t
+	if err := c.canceled(); err != nil {
+		return err
+	}
+	sr, err := ps.files[p].reader()
+	if err != nil {
+		return err
+	}
+	partBytes := ps.bytes[p]
+	if err := c.Mem.GrowFloor("hash join build partition", partBytes, 0, spillFloor); err != nil {
+		if !isBudgetErr(err) || ps.single[p] || salt >= maxRepartitionDepth {
+			return err
+		}
+		sub, perr := g.partition(sr.next, ps.probe[p], spillFanout(partBytes, c.Mem.Available()), salt+1)
+		defer sub.discard()
+		if perr != nil {
+			return perr
+		}
+		for q := range sub.files {
+			if err := g.joinPartition(sub, q, salt+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	defer c.Mem.Shrink(partBytes)
+	c.noteMemBytes(partBytes)
+
+	var tags []int64
+	var rows []datum.Row
+	for {
+		tag, row, ok, err := sr.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		tags = append(tags, tag)
+		rows = append(rows, row)
+	}
+	build := make(map[uint64][]int, len(rows))
+	for i, rr := range rows {
+		c.Counters.HashOps++
+		h := rr.Hash(g.rOff)
+		build[h] = append(build[h], i)
+	}
+	matched := make([]bool, len(rows))
+	for k, li := range ps.probe[p] {
+		if k%MorselSize == 0 {
+			if err := c.canceled(); err != nil {
+				return err
+			}
+		}
+		c.Counters.HashOps++
+		lr := g.left[li]
+		var emitted []datum.Row
+		lrMatched := false
+		for _, ri := range build[g.lHash[li]] {
+			rr := rows[ri]
+			if !datum.EqualOn(lr, rr, g.lOff, g.rOff) {
+				continue
+			}
+			c.Counters.RowsProcessed++
+			g.e.row = lr.Concat(rr)
+			ok, err := c.filterRow(t.ExtraOn, g.e)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+			lrMatched = true
+			matched[ri] = true
+			switch t.Kind {
+			case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
+				emitted = append(emitted, lr.Concat(rr))
+			case logical.SemiJoin:
+				emitted = append(emitted, lr)
+			}
+			if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
+				break
+			}
+		}
+		switch t.Kind {
+		case logical.LeftOuterJoin, logical.FullOuterJoin:
+			if !lrMatched {
+				emitted = append(emitted, lr.Concat(nullRow(g.rightWidth)))
+			}
+		case logical.AntiJoin:
+			if !lrMatched {
+				emitted = append(emitted, lr)
+			}
+		}
+		g.emitted[li] = emitted
+	}
+	if t.Kind == logical.FullOuterJoin {
+		for ri := range rows {
+			if !matched[ri] {
+				g.leftovers = append(g.leftovers, taggedRow{tags[ri], rows[ri]})
+			}
+		}
+	}
+	return nil
 }
 
 // --- spilling hash aggregation ---

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/datum"
@@ -208,6 +209,75 @@ func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 		}
 		if c.Counters.Spills == 0 {
 			t.Fatalf("%v: grace join spilled nothing", kind)
+		}
+		if c.Mem.Used() != 0 {
+			t.Fatalf("%v: leaked %d reserved bytes", kind, c.Mem.Used())
+		}
+	}
+}
+
+// TestGraceHashJoinRepartitionsSkew: many distinct keys that all hash into
+// one first-pass partition make that partition larger than spillFloor, while
+// no single key is. The grace join must split it again and still emit the
+// in-memory join's rows in the identical order. The keys are chosen from the
+// runtime hash, so the skew is the same under every hash seed.
+func TestGraceHashJoinRepartitionsSkew(t *testing.T) {
+	const budget = 32 << 10
+	pad := datum.NewString(strings.Repeat("x", 80))
+	mkRight := func(keys []int64) []datum.Row {
+		var rows []datum.Row
+		for i := 0; i < 3000; i++ {
+			rows = append(rows, datum.Row{datum.NewInt(keys[i%len(keys)]), pad, datum.NewInt(int64(i))})
+		}
+		return rows
+	}
+	nParts := spillFanout(rowSetBytes(mkRight([]int64{0})), budget)
+	var keys []int64
+	for k := int64(0); len(keys) < 60; k++ {
+		if partOf(datum.Row{datum.NewInt(k)}.Hash([]int{0}), 0, nParts) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	right := mkRight(keys)
+	right[7][0] = datum.Null
+	if bytes := rowSetBytes(right); bytes <= 2*spillFloor {
+		t.Fatalf("fixture too small: one partition holds %d bytes", bytes)
+	}
+	var left []datum.Row
+	for i := 0; i < 500; i++ {
+		key := datum.NewInt(keys[i%len(keys)])
+		switch i % 7 {
+		case 3:
+			key = datum.Null
+		case 5:
+			key = datum.NewInt(-int64(i)) // matches nothing
+		}
+		left = append(left, datum.Row{key, datum.NewInt(int64(i)), datum.NewFloat(float64(i) / 3)})
+	}
+	for _, kind := range []logical.JoinKind{
+		logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin,
+		logical.SemiJoin, logical.AntiJoin,
+	} {
+		hj, lOff, rOff := buildHashJoinFixture(kind, left, right)
+		res, err := Run(hj, NewCtx(nil, nil))
+		if err != nil {
+			t.Fatalf("%v in-memory: %v", kind, err)
+		}
+		c := spillCtx(t, budget)
+		got, err := c.graceHashJoin(hj, left, right, lOff, rOff)
+		if err != nil {
+			t.Fatalf("%v grace: %v", kind, err)
+		}
+		if len(got) != len(res.Rows) {
+			t.Fatalf("%v: %d rows, want %d", kind, len(got), len(res.Rows))
+		}
+		for i, want := range res.Rows {
+			if got[i].String() != want.String() {
+				t.Fatalf("%v: row %d = %s, want %s", kind, i, got[i], want)
+			}
+		}
+		if c.Counters.Spills <= int64(nParts) {
+			t.Fatalf("%v: %d spill files for %d first-pass partitions; the skewed partition was not split", kind, c.Counters.Spills, nParts)
 		}
 		if c.Mem.Used() != 0 {
 			t.Fatalf("%v: leaked %d reserved bytes", kind, c.Mem.Used())

@@ -9,7 +9,9 @@
 // and runs inline otherwise, so each operator writes its loop once. Output is
 // identical at every degree: morsel outputs concatenate in morsel order, and
 // hash aggregation partitions groups so that each group sees its rows in
-// input order. The operators keep the engine's observable contract: the same
+// input order. Hash join and hash aggregation share one hash table
+// (hashtable.go) that compares keys typed, in place. The operators keep the
+// engine's observable contract: the same
 // counters (RowsProcessed, HashOps, IndexSeeks), page touches, step("scan")
 // fault/cancel cadence per MorselSize rows, and memory reservations with
 // their spill fallbacks.
@@ -57,20 +59,10 @@ func (c *Ctx) execBatch(p physical.Plan) (b *Batch, ok bool, err error) {
 // inputBatch runs a batch operator's child: natively when the child is a
 // batch operator, through the row adapter otherwise.
 func (c *Ctx) inputBatch(p physical.Plan) (*Batch, error) {
-	var b *Batch
-	err := c.metered(p, func() (int, error) {
-		var ok bool
-		var err error
-		if b, ok, err = c.execBatch(p); !ok {
-			var rows []datum.Row
-			rows, err = c.execPlan(p)
-			b = batchFromRows(p.Columns(), rows)
-		}
-		if err != nil {
-			return 0, err
-		}
-		return b.NumRows(), nil
-	})
+	b, rows, err := c.runNode(p)
+	if err == nil && b == nil {
+		b = batchFromRows(p.Columns(), rows)
+	}
 	return b, err
 }
 
@@ -545,18 +537,17 @@ func (c *Ctx) vecProject(t *physical.Project) (*Batch, error) {
 
 // --- hash aggregation ---
 
-// aggPart is one hash partition of an aggregation: hash-bucketed group ids
-// over interned key rows and one accumulator per aggregate. Groups are
-// charged to the memory account with the same per-entry model as the row
-// group table. When several partitions must be merged, first (non-nil)
-// records each group's first input row.
+// aggPart is one hash partition of an aggregation: a hash table over the
+// input batch's key columns (nil for a scalar aggregation, whose one group
+// always exists) and one accumulator per aggregate, indexed by group id.
+// Groups are charged to the memory account with the same per-group model as
+// the row group table.
 type aggPart struct {
-	byHash  map[uint64][]int32
-	keys    []datum.Row
-	first   []int32
+	ht      *hashTable
+	eq      keyEq
+	keyOff  []int
 	accs    []vecAccumulator
 	gids    []int32
-	keyOff  []int
 	mem     *MemAccount
 	charged int64
 }
@@ -568,42 +559,18 @@ func (g *aggPart) release() {
 	}
 }
 
-// assign returns the group id of batch row i, creating (and charging) the
-// group on first sight. Group ids are dense and in first-appearance order.
-func (g *aggPart) assign(in *Batch, i int32, h uint64) (int32, error) {
-	for _, gid := range g.byHash[h] {
-		key := g.keys[gid]
-		match := true
-		for kc, ko := range g.keyOff {
-			if !datum.Equal(in.Vecs[ko].D(int(i)), key[kc]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return gid, nil
-		}
+// groups returns the partition's group count.
+func (g *aggPart) groups() int {
+	if g.ht == nil {
+		return 1
 	}
-	key := make(datum.Row, len(g.keyOff))
-	for kc, ko := range g.keyOff {
-		key[kc] = in.Vecs[ko].D(int(i))
-	}
-	n := int64(key.Size()) + entryOverhead + int64(48*len(g.accs))
-	if err := g.mem.GrowFloor("hash aggregation", n, g.charged, 0); err != nil {
-		return 0, err
-	}
-	g.charged += n
-	gid := int32(len(g.keys))
-	g.keys = append(g.keys, key)
-	if g.first != nil {
-		g.first = append(g.first, i)
-	}
-	g.byHash[h] = append(g.byHash[h], gid)
-	return gid, nil
+	return g.ht.len()
 }
 
 // add folds rows (batch row indices, ascending, with their key hashes; nil
-// hashes for a scalar aggregation) into the partition.
+// hashes for a scalar aggregation) into the partition, creating (and
+// charging) each group on first sight. Group ids are dense and in
+// first-appearance order.
 func (g *aggPart) add(wc *Ctx, in *Batch, args []*datum.Vec, rows []int32, hs []uint64) error {
 	wc.Counters.RowsProcessed += int64(len(rows))
 	wc.Counters.HashOps += int64(len(rows))
@@ -613,14 +580,19 @@ func (g *aggPart) add(wc *Ctx, in *Batch, args []*datum.Vec, rows []int32, hs []
 			gids[k] = 0
 			continue
 		}
-		gid, err := g.assign(in, i, hs[k])
-		if err != nil {
-			return err
+		gid, slot := g.ht.lookup(hs[k], g.eq, i)
+		if gid < 0 {
+			n := keyBytes(in.Vecs, g.keyOff, i) + entryOverhead + int64(48*len(g.accs))
+			if err := g.mem.GrowFloor("hash aggregation", n, g.charged, 0); err != nil {
+				return err
+			}
+			g.charged += n
+			gid = g.ht.insert(slot, hs[k], i)
 		}
 		gids[k] = gid
 	}
 	for ai, acc := range g.accs {
-		acc.ensure(len(g.keys))
+		acc.ensure(g.groups())
 		acc.accumulate(args[ai], rows, gids)
 	}
 	return nil
@@ -676,22 +648,20 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, error) {
 	if len(keyOff) > 0 && c.fanOut(len(sel)) {
 		nParts = c.workers()
 	}
-	// Pre-size hash buckets from the optimizer's group-count estimate, capped
+	// Pre-size the tables from the optimizer's group-count estimate, capped
 	// so a wild overestimate cannot make the presize itself the cost.
 	hint := min(max(int(t.Rows), 0), 1<<20) / nParts
+	eq := newKeyEq(in.Vecs, keyOff, in.Vecs, keyOff)
 	parts := make([]*aggPart, nParts)
 	for p := range parts {
-		g := &aggPart{byHash: make(map[uint64][]int32, hint), keyOff: keyOff, mem: c.Mem, gids: make([]int32, MorselSize)}
+		g := &aggPart{keyOff: keyOff, eq: eq, mem: c.Mem, gids: make([]int32, MorselSize)}
 		for i, a := range t.Aggs {
 			g.accs = append(g.accs, newVecAccumulator(a, args[i]))
 		}
-		if len(keyOff) == 0 {
-			// Like newGroupTable, the single global group of a scalar
-			// aggregation exists before any accounting and is never charged.
-			g.keys = []datum.Row{nil}
-		}
-		if nParts > 1 {
-			g.first = make([]int32, 0, hint)
+		// A scalar aggregation has no table: like newGroupTable, its single
+		// global group exists before any accounting and is never charged.
+		if len(keyOff) > 0 {
+			g.ht = newHashTable(hint)
 		}
 		parts[p] = g
 	}
@@ -724,7 +694,7 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, error) {
 		hashKeys(in.Vecs, keyOff, chunk, hs)
 		pr := make([]partRows, nParts)
 		for k, i := range chunk {
-			p := &pr[hs[k]%uint64(nParts)]
+			p := &pr[mixHash(hs[k])%uint64(nParts)]
 			p.rows = append(p.rows, i)
 			p.hs = append(p.hs, hs[k])
 		}
@@ -771,12 +741,14 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, error) {
 	groups := 0
 	for p, g := range parts {
 		charged += g.charged
-		groups += len(g.keys)
-		for gid, f := range g.first {
-			order = append(order, groupRef{f, int32(p), int32(gid)})
+		groups += g.groups()
+		if nParts > 1 {
+			for gid, f := range g.ht.rows {
+				order = append(order, groupRef{f, int32(p), int32(gid)})
+			}
 		}
 		for _, acc := range g.accs {
-			acc.ensure(len(g.keys)) // a scalar aggregation over empty input still emits
+			acc.ensure(g.groups()) // a scalar aggregation over empty input still emits
 		}
 	}
 	sort.Slice(order, func(a, b int) bool { return order[a].first < order[b].first })
@@ -791,13 +763,18 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, error) {
 
 	outCols := t.Columns()
 	vecs := make([]*datum.Vec, len(outCols))
-	for kc := range keyOff {
-		v := datum.NewVec(datum.KindNull, groups)
-		for k := 0; k < groups; k++ {
-			g, gid := group(k)
-			v.AppendD(g.keys[gid][kc])
+	if len(keyOff) > 0 {
+		// Each group's key is its first row's: one typed gather per key column.
+		firsts := parts[0].ht.rows
+		if order != nil {
+			firsts = make([]int32, groups)
+			for k, r := range order {
+				firsts[k] = r.first
+			}
 		}
-		vecs[kc] = v
+		for kc, ko := range keyOff {
+			vecs[kc] = in.Vecs[ko].Gather(firsts)
+		}
 	}
 	for ai := range t.Aggs {
 		v := datum.NewVec(datum.KindNull, groups)
@@ -820,41 +797,55 @@ func hashKeys(vecs []*datum.Vec, keyOff []int, sel []int32, hs []uint64) {
 
 // --- hash join ---
 
-// gatherVec materializes src rows named by idx into a fresh vector; negative
-// indices produce NULL (the outer-join padding).
-func gatherVec(src *datum.Vec, idx []int32) *datum.Vec {
-	var out *datum.Vec
-	if src.Boxed() {
-		out = datum.NewAnyVec(len(idx))
-	} else {
-		out = datum.NewVec(src.Kind(), len(idx))
-	}
-	for _, i := range idx {
-		if i < 0 {
-			out.AppendNull()
-		} else {
-			out.AppendVec(src, int(i))
-		}
-	}
-	return out
+// joinTable is a hash join's build side: a hash table over the build
+// batch's key columns, one id per distinct non-NULL key, and each id's build
+// rows chained in selection order (next[ri] is the build row after ri, -1 at
+// the end of a chain).
+type joinTable struct {
+	ht   *hashTable
+	next []int32
 }
 
-// vecKeysEqual reports whether the join keys match, with the row engine's
-// datum.EqualOn semantics (NULLs are pre-filtered by the callers).
-func vecKeysEqual(l *Batch, lOff []int, li int, r *Batch, rOff []int, ri int) bool {
-	for k := range lOff {
-		if !datum.Equal(l.Vecs[lOff[k]].D(li), r.Vecs[rOff[k]].D(ri)) {
-			return false
+// buildJoinTable builds the table over the rows rsel of right on the key
+// columns rOff; hs holds their key hashes. Rows with a NULL key are left
+// out: they never match.
+func (c *Ctx) buildJoinTable(right *Batch, rOff []int, rsel []int32, hs []uint64) *joinTable {
+	j := &joinTable{ht: newHashTable(len(rsel)), next: make([]int32, right.n)}
+	eq := newKeyEq(right.Vecs, rOff, right.Vecs, rOff)
+	var tail []int32 // per id: the last row of its chain
+	for k, ri := range rsel {
+		if vecNullAt(right.Vecs, rOff, int(ri)) {
+			continue
 		}
+		c.Counters.HashOps++
+		j.next[ri] = -1
+		id, slot := j.ht.lookup(hs[k], eq, ri)
+		if id < 0 {
+			j.ht.insert(slot, hs[k], ri)
+			tail = append(tail, ri)
+			continue
+		}
+		j.next[tail[id]] = ri
+		tail[id] = ri
 	}
-	return true
+	return j
+}
+
+// first returns the first build row whose key equals probe row i (hash h),
+// or -1; the rest of the matches follow through next.
+func (j *joinTable) first(h uint64, eq keyEq, i int32) int32 {
+	if id, _ := j.ht.lookup(h, eq, i); id >= 0 {
+		return j.ht.rows[id]
+	}
+	return -1
 }
 
 // vecHashJoin builds a hash table on the right input and probes it with the
 // left input's morsels, emitting (left, right) row index pairs that are
-// gathered into output vectors at the end. Bucket lists hold build rows in
-// selection order, so every probe row sees its matches in build order and the
-// concatenated morsel outputs are the same at any degree.
+// gathered into output vectors at the end (one typed gather per column).
+// Each distinct build key's rows are chained in selection order, so every
+// probe row sees its matches in build order and the concatenated morsel
+// outputs are the same at any degree.
 func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, error) {
 	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()
 	lOff, err := offsetsOf(leftLayout, t.LeftKeys)
@@ -887,20 +878,9 @@ func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, error) {
 	c.noteMemBytes(buildBytes)
 
 	rsel := right.liveSel()
-	build := make(map[uint64][]int32, len(rsel))
-	for lo := 0; lo < len(rsel); lo += MorselSize {
-		chunk := rsel[lo:min(lo+MorselSize, len(rsel))]
-		hs := getHashBuf(len(chunk))
-		hashKeys(right.Vecs, rOff, chunk, hs)
-		for k, ri := range chunk {
-			if vecNullAt(right.Vecs, rOff, int(ri)) {
-				continue // NULL keys never match; FullOuter emits them below
-			}
-			c.Counters.HashOps++
-			build[hs[k]] = append(build[hs[k]], ri)
-		}
-		putHashBuf(hs)
-	}
+	hs := make([]uint64, len(rsel))
+	hashKeys(right.Vecs, rOff, rsel, hs)
+	build := c.buildJoinTable(right, rOff, rsel, hs)
 	c.noteMem(int64(right.NumRows()))
 
 	// Probe: ri = -1 pads unmatched outer rows with NULLs at gather time.
@@ -908,7 +888,13 @@ func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, error) {
 	semiShape := t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin
 	combined := append(append([]logical.ColumnID{}, leftLayout...), rightLayout...)
 	pairVecs := append(append([]*datum.Vec{}, left.Vecs...), right.Vecs...)
+	probeEq := newKeyEq(left.Vecs, lOff, right.Vecs, rOff)
 	lOut, rOut := newMorselOut[int32](c, len(lsel)), newMorselOut[int32](c, len(lsel))
+	// A probe row emits about one pair (at most one in a semi or anti join).
+	lOut.reserve(len(lsel))
+	if !semiShape {
+		rOut.reserve(len(lsel))
+	}
 	err = c.forMorsels(len(lsel), func(wc *Ctx, m, lo, hi int) error {
 		var extra *rowEval
 		if len(t.ExtraOn) > 0 {
@@ -923,10 +909,7 @@ func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, error) {
 			matched := false
 			if !vecNullAt(left.Vecs, lOff, int(li)) {
 				wc.Counters.HashOps++
-				for _, ri := range build[hs[k]] {
-					if !vecKeysEqual(left, lOff, int(li), right, rOff, int(ri)) {
-						continue
-					}
+				for ri := build.first(hs[k], probeEq, li); ri >= 0; ri = build.next[ri] {
 					wc.Counters.RowsProcessed++
 					if extra != nil {
 						extra.at(li, ri)
@@ -988,11 +971,11 @@ func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, error) {
 	outCols := t.Columns()
 	vecs := make([]*datum.Vec, 0, len(outCols))
 	for _, v := range left.Vecs[:len(leftLayout)] {
-		vecs = append(vecs, gatherVec(v, lIdx))
+		vecs = append(vecs, v.Gather(lIdx))
 	}
 	if !semiShape {
 		for _, v := range right.Vecs[:len(rightLayout)] {
-			vecs = append(vecs, gatherVec(v, rIdx))
+			vecs = append(vecs, v.Gather(rIdx))
 		}
 	}
 	return &Batch{Cols: outCols, Vecs: vecs, n: len(lIdx)}, nil

@@ -900,22 +900,25 @@ func (ix *IndexData) lowerBound(prefix datum.Row, incl bool) int {
 
 // SeekRange returns the row ids whose leading key column lies in the range
 // [lo, hi] with the given inclusivity; NULL bounds mean unbounded. NULL keys
-// (which sort first) are excluded, matching SQL predicate semantics.
+// (which sort first) are excluded, matching SQL predicate semantics. The
+// first qualifying entry is found by binary search and the walk stops at hi,
+// so a seek costs O(log n + matches).
 func (ix *IndexData) SeekRange(lo datum.D, loIncl bool, hi datum.D, hiIncl bool) []int {
-	var out []int
-	for i, k := range ix.keys {
-		v := k[0]
+	start := sort.Search(len(ix.keys), func(i int) bool {
+		v := ix.keys[i][0]
 		if v.IsNull() {
-			continue
+			return false
 		}
-		if !lo.IsNull() {
-			c := datum.Compare(v, lo)
-			if c < 0 || (c == 0 && !loIncl) {
-				continue
-			}
+		if lo.IsNull() {
+			return true
 		}
+		c := datum.Compare(v, lo)
+		return c > 0 || (c == 0 && loIncl)
+	})
+	var out []int
+	for i := start; i < len(ix.keys); i++ {
 		if !hi.IsNull() {
-			c := datum.Compare(v, hi)
+			c := datum.Compare(ix.keys[i][0], hi)
 			if c > 0 || (c == 0 && !hiIncl) {
 				break
 			}

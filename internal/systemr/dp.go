@@ -252,6 +252,22 @@ func (b *block) insert(t dpTable, mask uint64, p physical.Plan) {
 	// global cheapest unordered plan.
 }
 
+// sortedEntries lists a subset's retained plans in interesting-order key
+// order, so that ties between plans of equal cost break the same way on
+// every run.
+func sortedEntries(m map[string]physical.Plan) []physical.Plan {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]physical.Plan, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
+	return out
+}
+
 // dp runs the bottom-up enumeration.
 func (b *block) dp() (physical.Plan, error) {
 	n := len(b.leaves)
@@ -304,14 +320,7 @@ func (b *block) dp() (physical.Plan, error) {
 			}
 			rows := b.card(mask)
 			rightLeaf := b.rightLeafLogical(right)
-			var leftPlans, rightPlans []physical.Plan
-			for _, p := range lp {
-				leftPlans = append(leftPlans, p)
-			}
-			for _, p := range rp {
-				rightPlans = append(rightPlans, p)
-			}
-			cands := b.opt.joinCandidates(logical.InnerJoin, leftPlans, rightPlans, rightLeaf, preds, rows)
+			cands := b.opt.joinCandidates(logical.InnerJoin, sortedEntries(lp), sortedEntries(rp), rightLeaf, preds, rows)
 			for _, p := range cands {
 				b.insert(table, mask, p)
 			}
@@ -334,7 +343,7 @@ func (b *block) dp() (physical.Plan, error) {
 	}
 	var best physical.Plan
 	bestCost := math.Inf(1)
-	for _, p := range final {
+	for _, p := range sortedEntries(final) {
 		_, c := p.Estimate()
 		if len(required) > 0 && !required.SatisfiedBy(p.Ordering()) {
 			rows, _ := p.Estimate()

@@ -400,3 +400,30 @@ func TestOrderByExploitsRetainedOrder(t *testing.T) {
 		t.Errorf("FK join should return one row per r1 tuple, got %d", len(res.Rows))
 	}
 }
+
+// TestStarJoinPlanIsDeterministic: plans of equal cost must tie-break the
+// same way on every run, so optimizing one star join repeatedly prints one
+// plan. The dimensions are built alike, so many join orders cost the same.
+func TestStarJoinPlanIsDeterministic(t *testing.T) {
+	db := workload.Star(workload.StarConfig{FactRows: 5000, DimRows: []int{40, 40, 40}, Seed: 5})
+	db.Analyze(stats.AnalyzeOptions{})
+	for _, opts := range []Options{
+		DefaultOptions(),
+		{InterestingOrders: true, CartesianProducts: true, Bushy: true, MaxRelations: 16},
+	} {
+		q := buildQuery(t, db, workload.StarQuery(3, 5))
+		var first string
+		for i := 0; i < 50; i++ {
+			plan, err := optimizer(q, opts).Optimize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := physical.Format(plan, q.Meta)
+			if i == 0 {
+				first = text
+			} else if text != first {
+				t.Fatalf("run %d printed another plan (%+v):\n%s\nfirst run:\n%s", i, opts, text, first)
+			}
+		}
+	}
+}

@@ -434,7 +434,7 @@ func (e *Engine) RegisterPredicate(name string, perTupleCost, selectivity float6
 		fn: func(ds []datum.D) bool {
 			args := make([]any, len(ds))
 			for i, d := range ds {
-				args[i] = toGo(d)
+				args[i] = d.Value()
 			}
 			return fn(args)
 		},
@@ -758,7 +758,15 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, explain, analyze 
 		if err != nil {
 			return nil, nil, err
 		}
-		return e.finish(q, nil, res, ec, ""), nil, nil
+		var rows [][]any
+		for _, r := range res.Rows {
+			row := make([]any, len(r))
+			for i, d := range r {
+				row[i] = d.Value()
+			}
+			rows = append(rows, row)
+		}
+		return e.finish(q, nil, rows, ec, ""), nil, nil
 	}
 
 	var bestPlan physical.Plan
@@ -810,11 +818,11 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, explain, analyze 
 	if analyze {
 		metrics = ec.EnableAnalyze()
 	}
-	res, err := exec.RunPlanQuery(bestPlan, bestQ, ec)
+	rows, err := exec.RunPlanQueryValues(bestPlan, bestQ, ec)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := e.finish(bestQ, bestPlan, res, ec, bestMV)
+	out := e.finish(bestQ, bestPlan, rows, ec, bestMV)
 	out.PlannerTier = bestTier
 	var pa *PlanAnalysis
 	if analyze {
@@ -929,9 +937,12 @@ func (e *Engine) optimizeOne(q *logical.Query) (physical.Plan, string, error) {
 	return nil, "", fmt.Errorf("queryopt: unknown optimizer %v", e.opts.Optimizer)
 }
 
-func (e *Engine) finish(q *logical.Query, plan physical.Plan, res *exec.Result, ctx *exec.Ctx, mv string) *Result {
+// finish wraps a query's result rows with its plan, estimates and execution
+// counters.
+func (e *Engine) finish(q *logical.Query, plan physical.Plan, rows [][]any, ctx *exec.Ctx, mv string) *Result {
 	out := &Result{
 		Columns:              q.ColNames,
+		Rows:                 rows,
 		UsedMaterializedView: mv,
 		Stats: ExecStats{
 			PagesRead:      ctx.Counters.PagesRead,
@@ -955,30 +966,7 @@ func (e *Engine) finish(q *logical.Query, plan physical.Plan, res *exec.Result, 
 		out.Plan = physical.Format(plan, q.Meta)
 		out.EstRows, out.EstCost = plan.Estimate()
 	}
-	for _, r := range res.Rows {
-		row := make([]any, len(r))
-		for i, d := range r {
-			row[i] = toGo(d)
-		}
-		out.Rows = append(out.Rows, row)
-	}
 	return out
-}
-
-func toGo(d datum.D) any {
-	switch d.Kind() {
-	case datum.KindNull:
-		return nil
-	case datum.KindBool:
-		return d.Bool()
-	case datum.KindInt:
-		return d.Int()
-	case datum.KindFloat:
-		return d.Float()
-	case datum.KindString:
-		return d.Str()
-	}
-	return nil
 }
 
 // Catalog exposes the engine's catalog for tooling and experiments.

@@ -243,3 +243,29 @@ func TestDisableRewrites(t *testing.T) {
 		t.Error("expected tuple-iteration subquery evaluation")
 	}
 }
+
+// TestResultRowsAreIndependent: result rows share one backing array, so each
+// must be capped at its width; appending to one row must not overwrite the
+// next, for a batch root and for a row-operator root (UNION ALL).
+func TestResultRowsAreIndependent(t *testing.T) {
+	e := demoEngine(t, Options{})
+	for _, q := range []string{
+		"SELECT eid, name FROM emp ORDER BY eid",
+		"SELECT eid, name FROM emp WHERE eid < 3 UNION ALL SELECT did, dname FROM dept",
+	} {
+		res, err := e.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) < 2 {
+			t.Fatalf("%s: %d rows", q, len(res.Rows))
+		}
+		next := append([]any(nil), res.Rows[1]...)
+		_ = append(res.Rows[0], "extra")
+		for i := range next {
+			if res.Rows[1][i] != next[i] {
+				t.Fatalf("%s: appending to row 0 changed row 1: %v, was %v", q, res.Rows[1], next)
+			}
+		}
+	}
+}

@@ -225,11 +225,11 @@ func (e *Engine) planBound(sel *sql.SelectStmt, binds []datum.D) (*logical.Query
 // governor. Callers hold the shared latch.
 func (e *Engine) executePlan(ctx context.Context, plan physical.Plan, q *logical.Query) (*Result, error) {
 	ec := e.newExecCtx(ctx, q.Meta)
-	res, err := exec.RunPlanQuery(plan, q, ec)
+	rows, err := exec.RunPlanQueryValues(plan, q, ec)
 	if err != nil {
 		return nil, err
 	}
-	return e.finish(q, plan, res, ec, ""), nil
+	return e.finish(q, plan, rows, ec, ""), nil
 }
 
 // executePlanTier is executePlan with the planning tier stamped on the
